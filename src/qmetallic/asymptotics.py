@@ -270,6 +270,11 @@ def leading_term(n: int, l: int, precision_bits: int = DEFAULT_PRECISION):
         return re(total)
 
 
+# the shipped ratio tables: file stem -> index n, and the sampled l
+TABLE_INDEX = {"table1": 1, "table2": 2, "table3": 3}
+TABLE_LS = tuple(range(100, 2001, 100))
+
+
 def ratio_table(n: int, l_values, precision_bits: int = DEFAULT_PRECISION):
     """Rows (l, alpha_l / kappa_l as a 15-significant-digit string)."""
     ls = [int(l) for l in l_values]

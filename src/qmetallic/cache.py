@@ -109,18 +109,19 @@ def cache_load(key, cache_dir=None) -> CoeffTable:
         values = [int(t) for t in payload["values"]]
         table = CoeffTable(n=n, upto=int(payload["upto"]), values=tuple(values),
                            engine=engine)
-    except (KeyError, ValueError, AssertionError) as exc:
+    except (KeyError, ValueError, TypeError, AssertionError) as exc:
         raise CacheCorrupt(f"{path}: structural invariant violated ({exc})") from exc
     return table
 
 
 def cached_table(n: int, L: int, engine: str = "precurrence",
                  cache_dir=None) -> CoeffTable:
-    """Cache-backed table: load, extend in place if short, recompute if bad.
+    """Cache-backed table: load, extend if short, recompute if bad.
 
-    Extension past a cached prefix reuses the cached values as the
-    linear-recurrence seed (it only ever needs the last 2n+2 of them),
-    so a longer request is incremental, not a recompute.
+    Only the recurrence engine extends a short cached table: it resumes
+    from the cached values (it only ever needs the last 2n+2 of them).
+    Every other engine recomputes its own table, so no engine's values
+    ever come from another engine.
     """
     n = _check_n(n)
     tag = canonical_engine_tag(engine)
@@ -135,7 +136,7 @@ def cached_table(n: int, L: int, engine: str = "precurrence",
         if table.upto == L:
             return table
         return CoeffTable(n=n, upto=L, values=table.values[:L], engine=tag)
-    if table is not None and table.upto >= 2 * n + 2:
+    if tag == "precurrence" and table is not None and table.upto >= 2 * n + 2:
         vals = list(table.values)
         _p_extend(n, vals, L)
         out = CoeffTable(n=n, upto=L, values=tuple(vals), engine=tag)

@@ -19,9 +19,9 @@ from mpmath import mp
 
 from . import asymptotics as asym
 from .cache import RunManifest, atomic_write_text, cache_load, cached_table
-from .errors import BudgetExceeded, CacheCorrupt, NotMonomialDenominator
-from .identities import (check_all, conjugate_onset, conjugate_pair_check,
-                         mult_inverse_check, reflection_check)
+from .errors import CacheCorrupt, NotMonomialDenominator, QMetallicError
+from .identities import (IDENTITY_IDS, check_all, conjugate_onset,
+                         conjugate_pair_check, reflection_check)
 from .logbehaviour import classify, sign_flip_lemma_check
 from .metallic import (ENGINE_TAGS, canonical_engine_tag, hankel,
                        kappa_values, verify_functional_equation, verify_ode)
@@ -29,9 +29,6 @@ from .qnum import (cf_to_text, parse_cf, q_rational, quantize_quadratic,
                    rational_value)
 from .rna import count_structures, enumerate_structures, sign_bridge_check
 from .series import to_json as series_to_json
-
-TABLE_LS = tuple(range(100, 2001, 100))
-_TABLE_N = {"table1": 1, "table2": 2, "table3": 3}
 
 
 def _out(text: str) -> None:
@@ -55,10 +52,7 @@ def _emit_series(series, fmt: str) -> None:
 
 
 def cmd_coeffs(args) -> int:
-    try:
-        tag = canonical_engine_tag(args.engine)
-    except ValueError as exc:
-        return _fail(f"coeffs: {exc}")
+    tag = canonical_engine_tag(args.engine)
     if tag == "closedform" and args.n > 3:
         return _fail("coeffs: engine 'closed' requires n <= 3 "
                      "(closed-form sums exist for the first three indices only)")
@@ -86,8 +80,7 @@ def _verify_checks(n: int, L: int, cache_dir):
     yield "engine_agreement", engines_ok, {"engines": ["conv", "precurrence",
                                                        "sqrt"], "bad": bad}
 
-    reports = check_all(n, L) + [mult_inverse_check(n, L), reflection_check(n)]
-    bad_ids = [r.identity_id for r in reports if not r.holds]
+    bad_ids = [r.identity_id for r in _identity_reports(n, L) if not r.holds]
     yield "identities", not bad_ids, {"failed": bad_ids}
 
     hk_ok, hk_bad = True, None
@@ -120,17 +113,22 @@ def _verify_checks(n: int, L: int, cache_dir):
 
 
 def _identity_reports(n: int, order: int) -> list:
-    return check_all(n, order) + [mult_inverse_check(n, order),
-                                  reflection_check(n)]
+    reports = check_all(n, order)  # the output layout lists multinv twice
+    return reports + [reports[IDENTITY_IDS.index("multinv")],
+                      reflection_check(n)]
+
+
+def _print_identities(n: int, order: int, failure_prefix: str) -> int:
+    reports = _identity_reports(n, order)
+    _out(json.dumps([r.to_json() for r in reports], indent=1))
+    bad = next((r for r in reports if not r.holds), None)
+    return 0 if bad is None else _fail(failure_prefix + bad.identity_id, 1)
 
 
 def cmd_verify(args) -> int:
     if args.what == "identities":
-        reports = _identity_reports(args.n, args.order or args.L)
-        _out(json.dumps([r.to_json() for r in reports], indent=1))
-        bad = next((r for r in reports if not r.holds), None)
-        return 0 if bad is None else _fail(
-            f"verify: first failing check: identity {bad.identity_id}", 1)
+        return _print_identities(args.n, args.order or args.L,
+                                 "verify: first failing check: identity ")
 
     if args.golden:
         return _verify_golden(args)
@@ -164,17 +162,17 @@ def _verify_golden(args) -> int:
 
 
 def cmd_tables(args) -> int:
-    names = list(_TABLE_N) if args.which == "all" else [args.which]
+    names = list(asym.TABLE_INDEX) if args.which == "all" else [args.which]
     os.makedirs(args.out_dir, exist_ok=True)
     for name in names:
-        n = _TABLE_N[name]
-        rows = asym.ratio_table(n, TABLE_LS, args.precision_bits)
+        n = asym.TABLE_INDEX[name]
+        rows = asym.ratio_table(n, asym.TABLE_LS, args.precision_bits)
         path = os.path.join(args.out_dir, f"{name}.csv")
         atomic_write_text(
             path, "l,ratio\n" + "\n".join(f"{l},{v}" for l, v in rows) + "\n")
         manifest = RunManifest(
             command="tables",
-            parameters={"which": name, "n": n, "L": list(TABLE_LS),
+            parameters={"which": name, "n": n, "L": list(asym.TABLE_LS),
                         "precision_bits": args.precision_bits})
         manifest.add_output(path)
         manifest.write(path)
@@ -214,19 +212,12 @@ def cmd_radius(args) -> int:
 
 
 def cmd_identities(args) -> int:
-    reports = _identity_reports(args.n, args.order)
-    _out(json.dumps([r.to_json() for r in reports], indent=1))
-    bad = next((r for r in reports if not r.holds), None)
-    return 0 if bad is None else _fail(
-        f"identities: failed: {bad.identity_id}", 1)
+    return _print_identities(args.n, args.order, "identities: failed: ")
 
 
 def cmd_rna(args) -> int:
     if args.action == "count":
-        try:
-            c = enumerate_structures(args.size, args.rank)
-        except BudgetExceeded as exc:
-            return _fail(f"rna: {exc}")
+        c = enumerate_structures(args.size, args.rank)
         if args.format == "csv":
             _out(f"l,rank,count\n{args.size},{args.rank},{c}")
         else:
@@ -279,10 +270,7 @@ def cmd_logconv(args) -> int:
 
 
 def cmd_quantize(args) -> int:
-    try:
-        cf = parse_cf(args.cf)
-    except ValueError as exc:
-        return _fail(f"quantize: {exc}")
+    cf = parse_cf(args.cf)
     doc = {"cf": cf_to_text(cf)}
     if cf.period:
         form = quantize_quadratic(cf)
@@ -324,6 +312,18 @@ GLOBAL_DEFAULTS = {"precision_bits": 256, "format": "json",
                    "cache_dir": None, "jobs": 1}
 
 
+def _nonnegative(text: str) -> int:
+    """argparse type for lengths and orders: an integer >= 0."""
+    try:
+        value = int(text)
+    except ValueError:
+        value = -1
+    if value < 0:
+        raise argparse.ArgumentTypeError(
+            f"expected an integer >= 0, got {text!r}")
+    return value
+
+
 def build_parser() -> argparse.ArgumentParser:
     # global flags are accepted before or after the subcommand; SUPPRESS
     # keeps a subparser from clobbering a value parsed at the top level
@@ -353,7 +353,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = add("coeffs", help="emit a coefficient table")
     p.add_argument("--n", type=int, required=True)
-    p.add_argument("--L", type=int, default=50)
+    p.add_argument("--L", type=_nonnegative, default=50)
     p.add_argument("--engine", choices=("conv", "prec", "sqrt", "closed"),
                    default="prec")
     p.set_defaults(func=cmd_coeffs)
@@ -362,8 +362,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("what", nargs="?", choices=("all", "identities"),
                    default="all")
     p.add_argument("--n", type=int, default=1)
-    p.add_argument("--L", type=int, default=300)
-    p.add_argument("--order", type=int, default=None,
+    p.add_argument("--L", type=_nonnegative, default=300)
+    p.add_argument("--order", type=_nonnegative, default=None,
                    help="order for 'verify identities' (defaults to --L)")
     p.add_argument("--golden", action="store_true",
                    help="compare against the shipped golden fixtures")
@@ -386,7 +386,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = add("identities", help="run the identity suite")
     p.add_argument("--n", type=int, required=True)
-    p.add_argument("--order", type=int, default=300)
+    p.add_argument("--order", type=_nonnegative, default=300)
     p.set_defaults(func=cmd_identities)
 
     p = add("rna", help="secondary-structure counts")
@@ -412,8 +412,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = add("hankel", help="Hankel determinant grid (CSV)")
     p.add_argument("--n", type=int, required=True)
-    p.add_argument("--max-s", type=int, default=3)
-    p.add_argument("--max-j", type=int, default=10)
+    p.add_argument("--max-s", type=_nonnegative, default=3)
+    p.add_argument("--max-j", type=_nonnegative, default=10)
     p.set_defaults(func=cmd_hankel)
 
     return top
@@ -426,10 +426,18 @@ def main(argv=None) -> int:
             setattr(args, key, value)
     if args.precision_bits < 128:
         return _fail("precision-bits must be >= 128")
+    # every integer printed or cached is computed here, so the int/str
+    # digit limit would only cap how many coefficients a command can give
+    saved = getattr(sys, "get_int_max_str_digits", lambda: None)()
+    if saved is not None:
+        sys.set_int_max_str_digits(0)
     try:
         return args.func(args)
-    except ValueError as exc:
+    except (ValueError, QMetallicError, OSError) as exc:
         return _fail(f"{args.command}: {exc}")
+    finally:
+        if saved is not None:
+            sys.set_int_max_str_digits(saved)
 
 
 if __name__ == "__main__":

@@ -17,14 +17,12 @@ import os
 from mpmath import mp, mpf
 
 from . import asymptotics as asym
+from .asymptotics import TABLE_INDEX, TABLE_LS
 from .identities import laurent_family
 from .metallic import kappa_values, phi_series, poly_P, poly_Q, poly_R
 from .qnum import negate, neg_reciprocal, parse_cf, q_real_truncated, quantize_quadratic
 from .rna import motzkin_values, rna_recurrence
 from .series import from_json, series_inverse
-
-TABLE_LS = tuple(range(100, 2001, 100))
-TABLE_INDEX = {"table1": 1, "table2": 2, "table3": 3}
 
 REL_TOL = mpf("5e-12")
 # (table, l) -> relaxed tolerance for the one documented noisy reference entry

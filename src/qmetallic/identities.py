@@ -5,13 +5,16 @@ coefficient reflection.
 Every check builds both sides independently: one side through the modular
 group actions of module qnum applied to the base series F = [phi_n]_q, the
 other through explicit Laurent expansions whose tails are coefficient sums
-over the kappa table.  Reports carry the identity tag, the compared window,
-and the first mismatching exponent when a check fails.
+over the kappa table; the sides of the seven series relations are built
+once per (n, L) and shared by their checks.  Reports carry the identity
+tag, the compared window, and the first mismatching exponent when a
+check fails.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 from .errors import NotMonomialDenominator
 from .metallic import _check_n, kappa_values, phi_series, poly_P, poly_R
@@ -140,6 +143,29 @@ def _compare(n: int, identity_id: str, lhs: LaurentSeries, rhs: LaurentSeries,
     )
 
 
+@lru_cache(maxsize=1)
+def _relation_sides(n: int, L: int) -> dict:
+    """(lhs, rhs) of each series relation by tag (immutable, so shared)."""
+    fam = laurent_family(n, L)  # first: it rejects L < 2n + 2
+    # negate() consumes extra orders: num valuation -1, den (q-1)x + 1
+    # valuation n (the n leading coefficients of x are all 1)
+    phi = phi_series(n, L + 2 * n + 2)
+    nq = q_integer(n)
+    edge = _edge_term(n)
+    recip_a = reciprocal(phi, L)
+    neg_a = negate(phi, L)
+    negrecip_a = neg_reciprocal(phi, L)
+    return {
+        "rel1": (phi, recip_a.shift(n) + nq),
+        "rel2": (negrecip_a, neg_a.shift(n) + nq),
+        "rel3": (negrecip_a, nq + edge - phi),
+        "rel4": (phi, edge - neg_a.shift(n)),
+        "recip": (recip_a, fam.recip),
+        "crin": (negrecip_a, fam.negrecip),
+        "neg": (neg_a, fam.neg),
+    }
+
+
 def check_rel(n: int, identity_id: str, L: int = 300) -> IdentityReport:
     """Verify one tagged identity to order L (reflection tags are exact)."""
     n = _check_n(n)
@@ -149,31 +175,7 @@ def check_rel(n: int, identity_id: str, L: int = 300) -> IdentityReport:
         return _reflection_single(n, identity_id)
     if identity_id == "multinv":
         return mult_inverse_check(n, L)
-    if L < 2 * n + 2:
-        raise ValueError("need L >= 2n + 2")
-    # negate() consumes extra orders: num valuation -1, den (q-1)x + 1
-    # valuation n (the n leading coefficients of x are all 1)
-    phi = phi_series(n, L + 2 * n + 2)
-    nq = q_integer(n)
-    edge = _edge_term(n)
-    fam = laurent_family(n, L)
-    recip_a = reciprocal(phi, L)
-    neg_a = negate(phi, L)
-    negrecip_a = neg_reciprocal(phi, L)
-    if identity_id == "rel1":
-        lhs, rhs = phi, recip_a.shift(n) + nq
-    elif identity_id == "rel2":
-        lhs, rhs = negrecip_a, neg_a.shift(n) + nq
-    elif identity_id == "rel3":
-        lhs, rhs = negrecip_a, nq + edge - phi
-    elif identity_id == "rel4":
-        lhs, rhs = phi, edge - neg_a.shift(n)
-    elif identity_id == "recip":
-        lhs, rhs = recip_a, fam.recip
-    elif identity_id == "crin":
-        lhs, rhs = negrecip_a, fam.negrecip
-    else:  # neg
-        lhs, rhs = neg_a, fam.neg
+    lhs, rhs = _relation_sides(n, L)[identity_id]
     return _compare(n, identity_id, lhs, rhs, L)
 
 

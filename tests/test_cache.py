@@ -6,6 +6,7 @@ import os
 
 import pytest
 
+from qmetallic import cache
 from qmetallic.cache import (
     ARTIFACT_VERSION,
     ENV_CACHE_DIR,
@@ -19,7 +20,7 @@ from qmetallic.cache import (
     file_sha256,
 )
 from qmetallic.errors import CacheCorrupt
-from qmetallic.metallic import coeffs_p_recurrence, kappa_values
+from qmetallic.metallic import _p_extend, coeffs_p_recurrence, kappa_values
 
 
 def _entry_path(tmp, n=1, engine="precurrence"):
@@ -89,6 +90,38 @@ def test_cached_table_cold_then_warm(tmp_path):
     assert os.path.exists(_entry_path(d, 3))
     t2 = cached_table(3, 40, "precurrence", d)
     assert tuple(t1.values) == tuple(t2.values) == tuple(kappa_values(3, 40))
+
+
+def test_null_upto_is_corrupt_and_heals(tmp_path):
+    d = str(tmp_path)
+    cache_store((1, "precurrence"), coeffs_p_recurrence(1, 20), d)
+    p = _entry_path(d)
+    doc = json.load(open(p))
+    doc["upto"] = None
+    doc["sha256"] = cache._payload_hash(
+        {k: v for k, v in doc.items() if k != "sha256"})
+    open(p, "w").write(json.dumps(doc))
+    with pytest.raises(CacheCorrupt):
+        cache_load((1, "precurrence"), d)
+    assert list(cached_table(1, 20, "precurrence", d).values) == kappa_values(1, 20)
+    assert cache_load((1, "precurrence"), d).upto == 20
+
+
+@pytest.mark.parametrize("engine", ["conv", "sqrt", "precurrence"])
+def test_only_the_recurrence_extends_a_short_table(tmp_path, monkeypatch,
+                                                   engine):
+    d = str(tmp_path)
+    cached_table(2, 20, engine, d)
+    extended = []
+
+    def spy(n, vals, L):
+        extended.append(L)
+        return _p_extend(n, vals, L)
+
+    monkeypatch.setattr(cache, "_p_extend", spy)
+    t = cached_table(2, 60, engine, d)
+    assert t.engine == engine and list(t.values) == kappa_values(2, 60)
+    assert extended == ([60] if engine == "precurrence" else [])
 
 
 def test_cached_table_extends_and_persists(tmp_path):

@@ -2,10 +2,13 @@
 
 import json
 import os
+import sys
 
 import pytest
 
+from qmetallic import cli, identities
 from qmetallic.cli import main
+from qmetallic.identities import check_all, mult_inverse_check, reflection_check
 from qmetallic.metallic import kappa_values
 
 
@@ -65,6 +68,49 @@ def test_precision_floor(capsys):
     code, _, err = run(capsys, "--precision-bits", "64", "radius", "--n", "1")
     assert code == 2
     assert "128" in err
+
+
+def _digit_limit():
+    return getattr(sys, "get_int_max_str_digits", lambda: None)()
+
+
+def test_coeffs_past_the_int_str_digit_limit(capsys, tmp_path):
+    before = _digit_limit()
+    code, out, _ = run(capsys, "coeffs", "--n", "1", "--L", "10310",
+                       "--cache-dir", str(tmp_path))
+    assert code == 0
+    assert len(json.loads(out)["coeffs"][-1]) > 4300
+    assert _digit_limit() == before
+
+
+@pytest.mark.parametrize("argv", [
+    ["coeffs", "--n", "1", "--L", "-3"],
+    ["verify", "--n", "1", "--L", "-1"],
+    ["verify", "identities", "--n", "1", "--order", "-1"],
+    ["identities", "--n", "1", "--order", "-5"],
+    ["hankel", "--n", "1", "--max-j", "-2"],
+    ["hankel", "--n", "1", "--max-s", "-1"],
+])
+def test_negative_sizes_rejected(capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    assert "expected an integer >= 0" in capsys.readouterr().err
+
+
+def test_unwritable_out_dir_exits_2(capsys, tmp_path):
+    blocker = tmp_path / "file"
+    blocker.write_text("")
+    code, out, err = run(capsys, "tables", "table1",
+                         "--out-dir", str(blocker / "sub"))
+    assert code == 2 and out == ""
+    assert err.startswith("tables: ") and err.count("\n") == 1
+
+
+def test_bad_cf_exits_2(capsys):
+    code, _, err = run(capsys, "quantize", "--cf", "x")
+    assert code == 2
+    assert err.startswith("quantize: ") and err.count("\n") == 1
 
 
 def test_unknown_subcommand_exits_2(capsys):
@@ -152,6 +198,24 @@ def test_tables_writes_csv_and_manifest(capsys, tmp_path):
 # -- identities ---------------------------------------------------------------------
 
 
+def test_identity_reports_reuse_the_multinv_report(monkeypatch):
+    calls = []
+    real = identities.series_inverse
+
+    def count(*args):
+        calls.append(args)
+        return real(*args)
+
+    # mult_inverse_check is the only caller of series_inverse there
+    monkeypatch.setattr(identities, "series_inverse", count)
+    for n in (1, 3):
+        want = check_all(n, 60) + [mult_inverse_check(n, 60),
+                                   reflection_check(n)]
+        calls.clear()
+        assert cli._identity_reports(n, 60) == want
+        assert len(calls) == 1
+
+
 def test_identities_command(capsys):
     code, out, _ = run(capsys, "identities", "--n", "3", "--order", "60")
     assert code == 0
@@ -173,6 +237,7 @@ def test_rna_count(capsys):
 def test_rna_count_budget(capsys):
     code, _, err = run(capsys, "rna", "count", "--size", "23")
     assert code == 2
+    assert err.startswith("rna: ") and err.count("\n") == 1
 
 
 def test_rna_grid(capsys):

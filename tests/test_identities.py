@@ -2,6 +2,7 @@
 
 import pytest
 
+from qmetallic import identities, qnum
 from qmetallic.errors import NotMonomialDenominator
 from qmetallic.identities import (
     IDENTITY_IDS,
@@ -32,6 +33,35 @@ def test_check_all_covers_every_tag():
     seen = {r.identity_id for r in reports}
     assert seen <= set(IDENTITY_IDS)
     assert {"rel1", "rel2", "rel3", "rel4"} <= seen
+
+
+def test_check_all_builds_the_sides_once(monkeypatch):
+    divisions, tags = [], []
+    real_div, real_check = qnum.series_div, identities.check_rel
+
+    def count_div(*args):
+        divisions.append(args)
+        return real_div(*args)
+
+    def count_check(n, tag, L):
+        tags.append(tag)
+        return real_check(n, tag, L)
+
+    monkeypatch.setattr(qnum, "series_div", count_div)
+    monkeypatch.setattr(identities, "check_rel", count_check)
+    identities._relation_sides.cache_clear()
+    assert all(check_all(2, 70))
+    assert len(divisions) == 3
+    assert tags == list(IDENTITY_IDS)
+
+
+def test_memoised_sides_keep_indices_apart():
+    assert check_rel(1, "rel1", 60).n == 1
+    rep = check_rel(2, "rel1", 60)
+    assert rep.n == 2 and rep.holds
+    lhs, _ = identities._relation_sides(2, 60)["rel1"]
+    assert lhs.coefficients(0, 20) == phi_series(2, 20).coefficients(0, 20)
+    assert lhs.coefficients(0, 20) != phi_series(1, 20).coefficients(0, 20)
 
 
 def test_single_relation_report_shape():
