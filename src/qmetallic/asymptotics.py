@@ -2,11 +2,12 @@
 
 The growth of the series coefficients is governed by the roots of the
 palindromic polynomial Q_n (the reduced discriminant factor).  This module
-finds all 2n roots by Aberth-Ehrlich simultaneous iteration (boot-strapped
-in machine precision, continued and Newton-polished on mpmath), certifies
-them by residual bounds, extracts the dominant ones (minimal modulus, the
-radius of convergence), and assembles the square-root singularity constants
-and the leading asymptotic term
+finds all 2n roots by Aberth-Ehrlich simultaneous iteration in machine
+precision, polishes each one by Newton's method in big-int fixed point,
+and certifies them by a residual bound and by pairwise disjoint Newton
+inclusion disks (each then holds exactly one root).  It extracts the
+dominant ones (minimal modulus, the radius of convergence), and assembles
+the square-root singularity constants and the leading asymptotic term
 
     alpha_l = sum_j (-gamma_j / (2 sqrt(pi))) zeta_j^(-l) l^(-3/2).
 
@@ -17,6 +18,8 @@ precision (>= 128 everywhere in this module).
 from __future__ import annotations
 
 import cmath
+import itertools
+import math
 import threading
 from dataclasses import dataclass
 
@@ -77,8 +80,8 @@ def _horner2(coeffs, z):
 
 
 def _aberth_sweeps(coeffs, zs, tol, max_sweeps):
-    """Simultaneous-iteration sweeps in the arithmetic of `zs`; returns the
-    sweep count or None when the update never fell below tol."""
+    """Simultaneous-iteration sweeps in machine complex arithmetic; returns
+    the sweep count or None when the update never fell below tol."""
     deg = len(zs)
     for sweep in range(max_sweeps):
         biggest = 0.0
@@ -107,45 +110,124 @@ def _aberth_sweeps(coeffs, zs, tol, max_sweeps):
             denom = 1 - newton * s
             w = newton if denom == 0 else newton / denom
             zs[i] = zi - w
-            step = abs(complex(w)) if isinstance(w, complex) else float(fabs(w))
-            biggest = max(biggest, step)
+            biggest = max(biggest, abs(w))
         if biggest < tol:
             return sweep + 1
     return None
 
 
-def all_roots(coeffs, precision_bits: int) -> list:
+# Fixed point: a complex z is a pair of ints (x, y) with z = (x + iy) / 2^P.
+# The shifts floor, so each rounded product is off by under 1 unit (2^-P)
+# in each part, under 2 units in modulus.
+
+
+def _horner_fixed(scaled, x, y, P):
+    """p(z) and p'(z) in fixed point; `scaled` holds the coefficients,
+    highest first, each multiplied by 2^P."""
+    pr = pi_ = dr = di = 0
+    for c in scaled:
+        dr, di = ((dr * x - di * y) >> P) + pr, ((dr * y + di * x) >> P) + pi_
+        pr, pi_ = ((pr * x - pi_ * y) >> P) + c, (pr * y + pi_ * x) >> P
+    return pr, pi_, dr, di
+
+
+def _horner_error(deg, m, P):
+    """Bounds, in units, on the rounding error of _horner_fixed in p and in
+    p' at any |z| <= m units."""
+    ep = edp = 0
+    for _ in range(deg + 1):
+        edp = -((-edp * m) >> P) + 2 + ep
+        ep = -((-ep * m) >> P) + 2
+    return ep, edp
+
+
+def _newton_fixed(scaled, x, y, P, stop, cap):
+    """Newton from (x, y) until a step is below `stop` units; returns the
+    last point and p, p' there, or raises NoConvergence."""
+    for _ in range(cap):
+        pr, pi_, dr, di = _horner_fixed(scaled, x, y, P)
+        den = dr * dr + di * di
+        if den == 0:
+            raise NoConvergence("Newton step hit a zero derivative")
+        wr = ((pr * dr + pi_ * di) << P) // den
+        wi = ((pi_ * dr - pr * di) << P) // den
+        if wr * wr + wi * wi < stop * stop:
+            return x, y, pr, pi_, dr, di
+        x, y = x - wr, y - wi
+    raise NoConvergence(f"Newton polish did not settle within {cap} steps")
+
+
+def _inclusion_disk(deg, P, x, y, pr, pi_, dr, di):
+    """(bound on |p(z)|, radius) in units, for z = (x, y) with p, p' there.
+
+    The radius is the Newton disk deg*|p/p'| with the rounding of both
+    evaluations, plus the rounding of z to P-bit mpf parts.  It holds at
+    least one root."""
+    m = math.isqrt(x * x + y * y) + 1
+    ep, edp = _horner_error(deg, m, P)
+    residual = math.isqrt(pr * pr + pi_ * pi_) + 1 + ep
+    slope = math.isqrt(dr * dr + di * di) - edp  # <= |p'(z)|
+    if slope <= 0:
+        raise MultipleRoot("derivative not bounded away from 0 at a root")
+    return residual, -((-deg * residual << P) // slope) + 2 * ((m >> P) + 1)
+
+
+class CertifiedRoots(tuple):
+    """All roots of a polynomial, in order, with one inclusion radius per
+    root (the disk of that radius around it holds exactly one root) and the
+    sweep count of the float stage (None if it did not converge)."""
+
+    def __new__(cls, roots, radii, float_sweeps):
+        self = super().__new__(cls, roots)
+        self.radii = tuple(radii)
+        self.float_sweeps = float_sweeps
+        return self
+
+
+def all_roots(coeffs, precision_bits: int) -> CertifiedRoots:
     """All roots of an integer polynomial (ascending coefficients, nonzero
     leading and constant term): machine-precision Aberth-Ehrlich from a
-    circle start, then mpmath Aberth continuation and Newton polish."""
+    circle start, then per-root Newton in big-int fixed point, certified
+    by a residual bound and by pairwise disjoint Newton inclusion disks."""
     bits = _check_precision(precision_bits)
     deg = len(coeffs) - 1
     fc = [float(c) for c in coeffs]
     zs = _init_circle(deg, max(1.0, _fujiwara_radius(fc)))
-    _aberth_sweeps(fc, zs, 1e-13, 600)  # machine stage; certified later
-    with mp.workprec(bits + _GUARD_BITS):
-        mzs = [mpc(z) for z in zs]
-        tol = mpf(2) ** (-(bits + _GUARD_BITS // 2))
-        done = _aberth_sweeps(coeffs, mzs, tol, 24)
-        for i, z in enumerate(mzs):  # Newton polish, quadratic cleanup
-            for _ in range(3):
-                p, dp = _horner2(coeffs, z)
-                if dp == 0:
-                    break
-                z = z - p / dp
-            mzs[i] = z
-        bound = mpf(10) ** (-(bits // 4))
-        residuals = [fabs(_horner2(coeffs, z)[0]) for z in mzs]
-        worst = max(residuals)
-        if done is None and worst >= bound:
+    sweeps = _aberth_sweeps(fc, zs, 1e-13, 600)  # certified below
+    P = bits + _GUARD_BITS
+    scaled = [c << P for c in reversed(coeffs)]
+    cap = 4 + P.bit_length()  # quadratic convergence from about 2^-40
+    points, radii, worst = [], [], 0
+    for z in zs:
+        if not cmath.isfinite(z):
+            raise NoConvergence("float root iteration diverged")
+        (xn, xd), (yn, yd) = (z.real.as_integer_ratio(),
+                              z.imag.as_integer_ratio())
+        x, y, *p_dp = _newton_fixed(scaled, (xn << P) // xd, (yn << P) // yd,
+                                    P, 1 << (_GUARD_BITS // 2), cap)
+        residual, r = _inclusion_disk(deg, P, x, y, *p_dp)
+        if abs(y) <= r:
+            # the disk meets the real axis; once the disks are known to be
+            # disjoint, its one root is its own conjugate, so real
+            r += abs(y)
+            y = 0
+        worst = max(worst, residual)
+        points.append((x, y))
+        radii.append(r)
+    if worst * 10 ** (bits // 4) >= 1 << P:
+        with mp.workprec(P):
             raise NoConvergence(
-                f"root iteration stalled; worst residual {nstr(worst, 5)}"
-            )
-        if worst >= bound:
-            raise NoConvergence(
-                f"residual {nstr(worst, 5)} above bound {nstr(bound, 5)}"
-            )
-        return [+z for z in mzs]
+                f"residual {nstr(mpf((worst, -P)), 5)} above bound "
+                f"{nstr(mpf(10) ** (-(bits // 4)), 5)}")
+    for i, j in itertools.combinations(range(deg), 2):
+        dx = points[i][0] - points[j][0]
+        dy = points[i][1] - points[j][1]
+        if dx * dx + dy * dy <= (radii[i] + radii[j]) ** 2:
+            raise MultipleRoot(f"inclusion disks of roots {i} and {j} overlap")
+    with mp.workprec(P):
+        return CertifiedRoots(
+            [mpc(mpf((x, -P)), mpf((y, -P))) for x, y in points],
+            [mpf((r, -P)) for r in radii], sweeps)
 
 
 # -- singularity data -------------------------------------------------------------
@@ -162,6 +244,8 @@ class SingularityReport:
     radius: object
     gammas: tuple
     branch_flipped: bool
+    inclusion_radius: object  # the largest inclusion-disk radius
+    float_sweeps: object  # Aberth sweeps of the float stage, or None
 
     def __post_init__(self):
         if len(self.dominant) != len(self.gammas):
@@ -197,8 +281,10 @@ def _build_report(n: int, bits: int) -> SingularityReport:
     with mp.workprec(bits + _GUARD_BITS):
         moduli = [fabs(z) for z in roots]
         rho = min(moduli)
-        tie = rho * (1 + mpf(2) ** (-(bits // 2)))
-        dom = [z for z, m in zip(roots, moduli) if m <= tie]
+        # dominant: every root whose disk reaches the innermost outer edge
+        edge = min(m + r for m, r in zip(moduli, roots.radii))
+        dom = [z for z, m, r in zip(roots, moduli, roots.radii)
+               if m - r <= edge]
         gammas = [_gamma_raw(Q, dQ, z) for z in dom]
         # Branch calibration: one exact-coefficient probe fixes the sign of
         # the square root for the whole dominant family.
@@ -215,6 +301,8 @@ def _build_report(n: int, bits: int) -> SingularityReport:
             radius=+rho,
             gammas=tuple(gammas),
             branch_flipped=flipped,
+            inclusion_radius=max(roots.radii),
+            float_sweeps=roots.float_sweeps,
         )
 
 

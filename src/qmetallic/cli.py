@@ -127,7 +127,8 @@ def _print_identities(n: int, order: int, failure_prefix: str) -> int:
 
 def cmd_verify(args) -> int:
     if args.what == "identities":
-        return _print_identities(args.n, args.order or args.L,
+        order = args.L if args.order is None else args.order
+        return _print_identities(args.n, order,
                                  "verify: first failing check: identity ")
 
     if args.golden:
@@ -190,9 +191,9 @@ def cmd_asymptotics(args) -> int:
         "n": rep.n,
         "precision_bits": rep.precision_bits,
         "radius": mp.nstr(rep.radius, 30),
+        "inclusion_radius": mp.nstr(rep.inclusion_radius, 5),
         "dominant": [_mpc_str(z) for z in rep.dominant],
-        "gamma": [_mpc_str(asym.gamma_coeff(args.n, z, args.precision_bits))
-                  for z in rep.dominant],
+        "gamma": [_mpc_str(g) for g in rep.gammas],
         "branch_flipped": rep.branch_flipped,
         "roots": [_mpc_str(z) for z in rep.all_roots],
     }

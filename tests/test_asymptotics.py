@@ -1,18 +1,23 @@
 """Unit tests for root finding and coefficient asymptotics."""
 
-import pytest
-from mpmath import fabs, mp, mpc, mpf, nstr, power, sqrt, workprec
+import itertools
 
+import pytest
+from mpmath import fabs, mp, mpc, mpf, nstr, polyroots, power, sqrt, workprec
+
+from qmetallic import asymptotics
 from qmetallic.asymptotics import (
     DEFAULT_PRECISION,
     all_roots,
+    gamma_coeff,
     leading_term,
     radius,
     ratio_table,
     roots_Q,
     singularity_report,
 )
-from qmetallic.metallic import kappa_values
+from qmetallic.errors import MultipleRoot, NoConvergence
+from qmetallic.metallic import kappa_values, poly_Q
 
 
 def test_all_roots_cubic():
@@ -22,6 +27,72 @@ def test_all_roots_cubic():
     assert all(abs(r.imag) < 1e-40 for r in roots)
     for g, w in zip(got, (1.0, 2.0, 3.0)):
         assert abs(g - w) < 1e-40
+
+
+def test_all_roots_certificate():
+    roots = all_roots([6, -11, 6, -1], 192)
+    assert len(roots.radii) == 3 and roots.float_sweeps >= 1
+    assert all(0 < r < mpf(2) ** -192 for r in roots.radii)
+    # real roots are returned on the real axis, not with a rounding residue
+    assert all(r.imag == 0 for r in roots)
+
+
+def test_double_root_rejected():
+    # (q - 1)^2 (q - 3): Newton only creeps into a double root
+    with pytest.raises((NoConvergence, MultipleRoot)):
+        all_roots([-3, 7, -5, 1], 256)
+
+
+def test_overlapping_disks_rejected(monkeypatch):
+    # two float starts on the root 1 of (1-q)(2-q)(3-q): Newton takes both
+    # there, and the certificate must refuse the pair
+    def two_starts_on_one_root(coeffs, zs, tol, max_sweeps):
+        zs[:] = [1 + 1e-9j, 1 - 1e-9j, 3 + 0j]
+        return None
+
+    monkeypatch.setattr(asymptotics, "_aberth_sweeps", two_starts_on_one_root)
+    with pytest.raises(MultipleRoot, match="overlap"):
+        all_roots([6, -11, 6, -1], 256)
+
+
+def test_residual_gate_enforced():
+    # 10^80 (3q - 1)(q - 2)(q - 5): the disks are tiny and disjoint, but
+    # |p(z)| near 1/3 stays far above 10^-(bits/4) at this precision
+    with pytest.raises(NoConvergence, match="residual"):
+        all_roots([c * 10 ** 80 for c in (-10, 37, -22, 3)], 256)
+
+
+@pytest.mark.parametrize("n", [3, 8])
+def test_roots_Q_match_mpmath_polyroots(n):
+    # an independent oracle: mpmath's own Durand-Kerner at 320 bits
+    with workprec(320):
+        want = polyroots(list(reversed(poly_Q(n).coeffs)), maxsteps=200,
+                         extraprec=320)
+        got = roots_Q(n, 320)
+        assert len(got) == len(want) == 2 * n
+        for z in got:
+            assert min(fabs(z - w) for w in want) < mpf(10) ** -70
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 12, 30])
+def test_inclusion_disks_disjoint_and_small(n):
+    rep = singularity_report(n)
+    roots = all_roots(list(poly_Q(n).coeffs), rep.precision_bits)
+    assert tuple(roots) == rep.all_roots
+    assert rep.inclusion_radius == max(roots.radii)
+    assert rep.inclusion_radius < mpf(2) ** -rep.precision_bits
+    assert rep.float_sweeps is not None
+    assert rep.float_sweeps == roots.float_sweeps
+    with workprec(rep.precision_bits + 64):
+        for (a, ra), (b, rb) in itertools.combinations(
+                zip(roots, roots.radii), 2):
+            assert fabs(a - b) > ra + rb
+
+
+def test_dominant_gammas_match_gamma_coeff():
+    for n in (2, 5):
+        rep = singularity_report(n)
+        assert list(rep.gammas) == [gamma_coeff(n, z) for z in rep.dominant]
 
 
 def test_roots_count_and_radius_consistency():

@@ -6,6 +6,9 @@ import sys
 
 import pytest
 
+from mpmath import mp
+
+from qmetallic import asymptotics as asym
 from qmetallic import cli, identities
 from qmetallic.cli import main
 from qmetallic.identities import check_all, mult_inverse_check, reflection_check
@@ -153,6 +156,14 @@ def test_verify_identities_mode(capsys, tmp_path):
                                                    "reflect"}
 
 
+def test_verify_identities_order_zero_honoured(capsys):
+    # an explicit --order 0 is below 2n + 2, not a request for --L
+    code, out, err = run(capsys, "verify", "identities", "--n", "1",
+                         "--order", "0", "--L", "60")
+    assert code == 2 and out == ""
+    assert err == "verify: need L >= 2n + 2\n"
+
+
 def test_verify_golden(capsys):
     code, out, _ = run(capsys, "verify", "--golden")
     assert code == 0
@@ -171,6 +182,21 @@ def test_asymptotics_json(capsys):
     assert doc["radius"].startswith("0.38196601125010515")
     assert len(doc["roots"]) == 2 and len(doc["dominant"]) == 1
     assert doc["gamma"][0]["re"].startswith("-1.495348781221220")
+
+
+def test_asymptotics_json_inclusion_radius(capsys):
+    code, out, _ = run(capsys, "asymptotics", "--n", "3")
+    assert code == 0
+    doc = json.loads(out)
+    assert list(doc) == ["n", "precision_bits", "radius", "inclusion_radius",
+                         "dominant", "gamma", "branch_flipped", "roots"]
+    assert 0 < float(doc["inclusion_radius"]) < 2.0 ** -256
+    assert len(doc["inclusion_radius"].replace("e", " ").split()[0]) == 6
+    # the gammas printed are the report's calibrated ones
+    rep = asym.singularity_report(3)
+    assert doc["gamma"] == [
+        {"re": mp.nstr(g.real, 30), "im": mp.nstr(g.imag, 30)}
+        for g in rep.gammas]
 
 
 def test_radius_formats(capsys):
