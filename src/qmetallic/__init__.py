@@ -35,7 +35,8 @@ from .asymptotics import (SingularityReport, all_roots, gamma_coeff,
                           singularity_report)
 from .identities import (IDENTITY_IDS, IdentityReport, alpha_poly, check_all,
                          check_rel, conjugate_onset, conjugate_pair_check,
-                         laurent_family, mult_inverse_check, reflection_check)
+                         laurent_family, min_order, mult_inverse_check,
+                         reflection_check)
 from .rna import (count_structures, enumerate_structures, family_divergence,
                   generate_structures, motzkin_values, rna_closed_form,
                   rna_p_recurrence_check, rna_recurrence, sign_bridge_check)

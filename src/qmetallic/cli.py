@@ -20,8 +20,8 @@ from mpmath import mp
 from . import asymptotics as asym
 from .cache import RunManifest, atomic_write_text, cache_load, cached_table
 from .errors import CacheCorrupt, NotMonomialDenominator, QMetallicError
-from .identities import (IDENTITY_IDS, check_all, conjugate_onset,
-                         conjugate_pair_check, reflection_check)
+from .identities import (check_all, conjugate_onset, conjugate_pair_check,
+                         min_order)
 from .logbehaviour import classify, sign_flip_lemma_check
 from .metallic import (ENGINE_TAGS, canonical_engine_tag, hankel,
                        kappa_values, verify_functional_equation, verify_ode)
@@ -80,7 +80,7 @@ def _verify_checks(n: int, L: int, cache_dir):
     yield "engine_agreement", engines_ok, {"engines": ["conv", "precurrence",
                                                        "sqrt"], "bad": bad}
 
-    bad_ids = [r.identity_id for r in _identity_reports(n, L) if not r.holds]
+    bad_ids = [r.identity_id for r in check_all(n, L) if not r.holds]
     yield "identities", not bad_ids, {"failed": bad_ids}
 
     hk_ok, hk_bad = True, None
@@ -112,14 +112,13 @@ def _verify_checks(n: int, L: int, cache_dir):
     yield "cache_integrity", not bad_files, {"corrupt": bad_files}
 
 
-def _identity_reports(n: int, order: int) -> list:
-    reports = check_all(n, order)  # the output layout lists multinv twice
-    return reports + [reports[IDENTITY_IDS.index("multinv")],
-                      reflection_check(n)]
-
-
-def _print_identities(n: int, order: int, failure_prefix: str) -> int:
-    reports = _identity_reports(n, order)
+def _print_identities(n: int, order: int, flag: str,
+                      failure_prefix: str) -> int:
+    """Print check_all(n, order); `flag` names the option that set order."""
+    if order < min_order(n):
+        raise ValueError(f"need {flag} >= 2n + 3 = {min_order(n)} "
+                         f"for n = {n}, got {order}")
+    reports = check_all(n, order)
     _out(json.dumps([r.to_json() for r in reports], indent=1))
     bad = next((r for r in reports if not r.holds), None)
     return 0 if bad is None else _fail(failure_prefix + bad.identity_id, 1)
@@ -127,8 +126,9 @@ def _print_identities(n: int, order: int, failure_prefix: str) -> int:
 
 def cmd_verify(args) -> int:
     if args.what == "identities":
+        flag = "--L" if args.order is None else "--order"
         order = args.L if args.order is None else args.order
-        return _print_identities(args.n, order,
+        return _print_identities(args.n, order, flag,
                                  "verify: first failing check: identity ")
 
     if args.golden:
@@ -213,7 +213,8 @@ def cmd_radius(args) -> int:
 
 
 def cmd_identities(args) -> int:
-    return _print_identities(args.n, args.order, "identities: failed: ")
+    return _print_identities(args.n, args.order, "--order",
+                             "identities: failed: ")
 
 
 def cmd_rna(args) -> int:
@@ -393,17 +394,17 @@ def build_parser() -> argparse.ArgumentParser:
     p = add("rna", help="secondary-structure counts")
     act = p.add_subparsers(dest="action", required=True)
     c = act.add_parser("count", parents=[common], help="one exact count")
-    c.add_argument("--size", type=int, required=True)
-    c.add_argument("--rank", type=int, default=1)
+    c.add_argument("--size", type=_nonnegative, required=True)
+    c.add_argument("--rank", type=_nonnegative, default=1)
     g = act.add_parser("grid", parents=[common], help="(l, rank, count) grid")
-    g.add_argument("--max-size", type=int, default=22)
-    g.add_argument("--max-rank", type=int, default=3)
+    g.add_argument("--max-size", type=_nonnegative, default=22)
+    g.add_argument("--max-rank", type=_nonnegative, default=3)
     p.set_defaults(func=cmd_rna)
 
     p = add("logconv", help="log-convexity classification")
     p.add_argument("--n", type=int, default=None)
     p.add_argument("--n-range", default=None, metavar="A..B")
-    p.add_argument("--lmax", type=int, default=2000)
+    p.add_argument("--lmax", type=_nonnegative, default=2000)
     p.set_defaults(func=cmd_logconv)
 
     p = add("quantize", help="quadratic form of a deformed CF")

@@ -6,9 +6,9 @@ Every check builds both sides independently: one side through the modular
 group actions of module qnum applied to the base series F = [phi_n]_q, the
 other through explicit Laurent expansions whose tails are coefficient sums
 over the kappa table; the sides of the seven series relations are built
-once per (n, L) and shared by their checks.  Reports carry the identity
-tag, the compared window, and the first mismatching exponent when a
-check fails.
+once per (n, L) and shared by their checks.  check_all reports each tag
+once, after rejecting an order below min_order(n).  Reports carry the
+identity tag, the compared window, and the first mismatch on failure.
 """
 
 from __future__ import annotations
@@ -179,15 +179,27 @@ def check_rel(n: int, identity_id: str, L: int = 300) -> IdentityReport:
     return _compare(n, identity_id, lhs, rhs, L)
 
 
+def min_order(n: int) -> int:
+    """Least order every tag can be checked to (the inverse pattern's)."""
+    return 2 * _check_n(n) + 3
+
+
+def _require_min_order(n: int, L: int) -> None:
+    if L < min_order(n):
+        raise ValueError(f"need L >= 2n + 3 = {min_order(n)} for n = {n}, "
+                         f"got {L}")
+
+
 def check_all(n: int, L: int = 300) -> list:
+    """One report per tag of IDENTITY_IDS, in that order."""
+    _require_min_order(n, L)
     return [check_rel(n, tag, L) for tag in IDENTITY_IDS]
 
 
 def mult_inverse_check(n: int, L: int = 300) -> IdentityReport:
     """Multiplicative inverse against the explicit Laurent pattern."""
     n = _check_n(n)
-    if L < 2 * n + 3:
-        raise ValueError("need L >= 2n + 3")
+    _require_min_order(n, L)
     inv = series_inverse(phi_series(n, L), L)
     return _compare(n, "multinv", inv, _inverse_formula(n, L), L)
 

@@ -136,7 +136,7 @@ def sign_flip_lemma_check(L: int) -> CheckResult:
     """
     if L < 10:
         raise ValueError("need L >= 10")
-    a = rna_recurrence(L + 1)
+    a = rna_recurrence(L + 1)  # the table sign_bridge_check(L) reads
     x = [a[l - 1] for l in range(1, L + 2)]          # x[i] = a_i, i >= 0
     y = [(-1) ** (l % 2) * a[l - 1] for l in range(1, L + 2)]
 

@@ -1,5 +1,6 @@
 """End-to-end tests of the command-line interface via main(argv)."""
 
+import functools
 import json
 import os
 import sys
@@ -9,9 +10,9 @@ import pytest
 from mpmath import mp
 
 from qmetallic import asymptotics as asym
-from qmetallic import cli, identities
+from qmetallic import identities, rna
 from qmetallic.cli import main
-from qmetallic.identities import check_all, mult_inverse_check, reflection_check
+from qmetallic.identities import IDENTITY_IDS
 from qmetallic.metallic import kappa_values
 
 
@@ -93,6 +94,11 @@ def test_coeffs_past_the_int_str_digit_limit(capsys, tmp_path):
     ["identities", "--n", "1", "--order", "-5"],
     ["hankel", "--n", "1", "--max-j", "-2"],
     ["hankel", "--n", "1", "--max-s", "-1"],
+    ["rna", "count", "--size", "-1"],
+    ["rna", "count", "--size", "4", "--rank", "-1"],
+    ["rna", "grid", "--max-size", "-2"],
+    ["rna", "grid", "--max-rank", "-1"],
+    ["logconv", "--n", "1", "--lmax", "-1"],
 ])
 def test_negative_sizes_rejected(capsys, argv):
     with pytest.raises(SystemExit) as exc:
@@ -152,16 +158,53 @@ def test_verify_identities_mode(capsys, tmp_path):
     assert code == 0
     reports = json.loads(out)
     assert all(r["holds"] for r in reports)
-    assert {r["identity_id"] for r in reports} >= {"rel1", "multinv",
-                                                   "reflect"}
+    assert [r["identity_id"] for r in reports] == list(IDENTITY_IDS)
 
 
 def test_verify_identities_order_zero_honoured(capsys):
-    # an explicit --order 0 is below 2n + 2, not a request for --L
+    # an explicit --order 0 is below the minimum, not a request for --L
     code, out, err = run(capsys, "verify", "identities", "--n", "1",
                          "--order", "0", "--L", "60")
     assert code == 2 and out == ""
-    assert err == "verify: need L >= 2n + 2\n"
+    assert err == "verify: need --order >= 2n + 3 = 5 for n = 1, got 0\n"
+
+
+@pytest.mark.parametrize("argv, err", [
+    (["identities", "--n", "1", "--order", "4"],
+     "identities: need --order >= 2n + 3 = 5 for n = 1, got 4\n"),
+    (["identities", "--n", "1", "--order", "3"],
+     "identities: need --order >= 2n + 3 = 5 for n = 1, got 3\n"),
+    (["verify", "identities", "--n", "1", "--L", "4"],
+     "verify: need --L >= 2n + 3 = 5 for n = 1, got 4\n"),
+])
+def test_identity_order_floor_names_its_flag(capsys, argv, err):
+    code, out, got = run(capsys, *argv)
+    assert code == 2 and out == "" and got == err
+
+
+def test_identity_order_floor_is_reachable(capsys):
+    for argv in (["identities", "--n", "1", "--order", "5"],
+                 ["verify", "identities", "--n", "1", "--L", "5"]):
+        code, out, _ = run(capsys, *argv)
+        reports = json.loads(out)
+        assert code == 0 and len(reports) == 10
+        assert all(r["holds"] for r in reports)
+
+
+def test_verify_runs_the_rank1_dp_once(capsys, monkeypatch, tmp_path):
+    calls = []
+    table = rna._count_table.__wrapped__
+
+    def count(length, rank):
+        calls.append((length, rank))
+        return table(length, rank)
+
+    # sign_bridge_check and sign_flip_lemma_check share one memoised table
+    monkeypatch.setattr(rna, "_count_table", functools.lru_cache(1)(count))
+    code, _, _ = run(capsys, "verify", "--n", "1", "--L", "1000",
+                     "--cache-dir", str(tmp_path))
+    assert code == 0
+    assert calls == [(1000, 1)]
 
 
 def test_verify_golden(capsys):
@@ -224,7 +267,7 @@ def test_tables_writes_csv_and_manifest(capsys, tmp_path):
 # -- identities ---------------------------------------------------------------------
 
 
-def test_identity_reports_reuse_the_multinv_report(monkeypatch):
+def test_identity_reports_reuse_the_multinv_report(capsys, monkeypatch):
     calls = []
     real = identities.series_inverse
 
@@ -234,12 +277,10 @@ def test_identity_reports_reuse_the_multinv_report(monkeypatch):
 
     # mult_inverse_check is the only caller of series_inverse there
     monkeypatch.setattr(identities, "series_inverse", count)
-    for n in (1, 3):
-        want = check_all(n, 60) + [mult_inverse_check(n, 60),
-                                   reflection_check(n)]
-        calls.clear()
-        assert cli._identity_reports(n, 60) == want
-        assert len(calls) == 1
+    code, out, _ = run(capsys, "identities", "--n", "3", "--order", "60")
+    assert code == 0
+    assert [r["identity_id"] for r in json.loads(out)] == list(IDENTITY_IDS)
+    assert len(calls) == 1
 
 
 def test_identities_command(capsys):

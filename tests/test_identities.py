@@ -13,6 +13,7 @@ from qmetallic.identities import (
     conjugate_onset,
     conjugate_pair_check,
     laurent_family,
+    min_order,
     mult_inverse_check,
     reflection_check,
 )
@@ -53,6 +54,26 @@ def test_check_all_builds_the_sides_once(monkeypatch):
     assert all(check_all(2, 70))
     assert len(divisions) == 3
     assert tags == list(IDENTITY_IDS)
+
+
+def test_check_all_rejects_a_low_order_before_any_work(monkeypatch):
+    tags = []
+    real_check = identities.check_rel
+
+    def count_check(n, tag, L):
+        tags.append(tag)
+        return real_check(n, tag, L)
+
+    monkeypatch.setattr(identities, "check_rel", count_check)
+    for n in (1, 4):
+        assert min_order(n) == 2 * n + 3
+        # 2n + 2 satisfies laurent_family, not the multiplicative inverse
+        with pytest.raises(ValueError, match=rf"2n \+ 3 = {2 * n + 3} "):
+            check_all(n, 2 * n + 2)
+        assert tags == []
+        assert all(check_all(n, 2 * n + 3))
+        assert tags == list(IDENTITY_IDS)
+        tags.clear()
 
 
 def test_memoised_sides_keep_indices_apart():

@@ -46,6 +46,11 @@ def test_motzkin_prefix():
     assert motzkin_values(11) == MOTZKIN_PREFIX
 
 
+def test_motzkin_recurrence_matches_rank0_counts():
+    # two different computations: holonomic recurrence against the DP
+    assert motzkin_values(300) == [count_structures(l, 0) for l in range(300)]
+
+
 def test_counts_match_enumeration():
     for l in range(13):
         assert enumerate_structures(l, 1) == count_structures(l, 1)
