@@ -20,7 +20,7 @@ from dataclasses import dataclass, field
 from datetime import datetime, timezone
 
 from .errors import CacheCorrupt
-from .metallic import (ENGINE_TAGS, CoeffTable, _check_n, _p_extend,
+from .metallic import (ENGINE_TAGS, CoeffTable, _check_n,
                        canonical_engine_tag, table_engine)
 
 FORMAT_VERSION = 2
@@ -116,32 +116,20 @@ def cache_load(key, cache_dir=None) -> CoeffTable:
 
 def cached_table(n: int, L: int, engine: str = "precurrence",
                  cache_dir=None) -> CoeffTable:
-    """Cache-backed table: load, extend if short, recompute if bad.
-
-    Only the recurrence engine extends a short cached table: it resumes
-    from the cached values (it only ever needs the last 2n+2 of them).
-    Every other engine recomputes its own table, so no engine's values
-    ever come from another engine.
-    """
+    """Cache-backed table: load it, or, when the entry is absent, short or
+    bad, compute it with its own engine and store it."""
     n = _check_n(n)
     tag = canonical_engine_tag(engine)
     key = (n, tag)
     try:
         table = cache_load(key, cache_dir)
-    except FileNotFoundError:
-        table = None
-    except CacheCorrupt:
-        table = None  # fall back to recompute, then overwrite the bad file
+    except (FileNotFoundError, CacheCorrupt):
+        table = None  # recompute, then overwrite a bad file
     if table is not None and table.upto >= L:
         if table.upto == L:
             return table
         return CoeffTable(n=n, upto=L, values=table.values[:L], engine=tag)
-    if tag == "precurrence" and table is not None and table.upto >= 2 * n + 2:
-        vals = list(table.values)
-        _p_extend(n, vals, L)
-        out = CoeffTable(n=n, upto=L, values=tuple(vals), engine=tag)
-    else:
-        out = table_engine(tag)(n, L)
+    out = table_engine(tag)(n, L)
     cache_store(key, out, cache_dir)
     return out
 

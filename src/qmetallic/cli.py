@@ -134,6 +134,13 @@ def cmd_verify(args) -> int:
     if args.golden:
         return _verify_golden(args)
 
+    # checked before any work: the ODE needs 2n + 4, the n = 1 sign checks 10
+    floor = 10 if args.n == 1 else 2 * args.n + 4
+    if args.n >= 1 and args.L < floor:
+        rule = "" if args.n == 1 else "2n + 4 = "
+        raise ValueError(f"need --L >= {rule}{floor} for n = {args.n}, "
+                         f"got {args.L}")
+
     checks = []
     for name, ok, detail in _verify_checks(args.n, args.L, args.cache_dir):
         checks.append({"name": name, "ok": ok, "detail": detail})
@@ -256,8 +263,9 @@ def cmd_logconv(args) -> int:
         if lo < 1 or hi < lo:
             return _fail("logconv: --n-range wants 1 <= A <= B")
         tasks = [(n, args.lmax) for n in range(lo, hi + 1)]
-        if args.jobs > 1:
-            with ProcessPoolExecutor(max_workers=args.jobs) as pool:
+        workers = min(args.jobs, len(tasks))
+        if workers > 1:
+            with ProcessPoolExecutor(max_workers=workers) as pool:
                 rows = list(pool.map(_classify_row, tasks))
         else:
             rows = [_classify_row(t) for t in tasks]
@@ -314,16 +322,21 @@ GLOBAL_DEFAULTS = {"precision_bits": 256, "format": "json",
                    "cache_dir": None, "jobs": 1}
 
 
-def _nonnegative(text: str) -> int:
-    """argparse type for lengths and orders: an integer >= 0."""
-    try:
-        value = int(text)
-    except ValueError:
-        value = -1
-    if value < 0:
-        raise argparse.ArgumentTypeError(
-            f"expected an integer >= 0, got {text!r}")
-    return value
+def _int_at_least(low: int):
+    """argparse type: an integer >= low."""
+    def parse(text: str) -> int:
+        try:
+            value = int(text)
+        except ValueError:
+            value = low - 1
+        if value < low:
+            raise argparse.ArgumentTypeError(
+                f"expected an integer >= {low}, got {text!r}")
+        return value
+    return parse
+
+
+_nonnegative = _int_at_least(0)  # lengths and orders
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -339,7 +352,8 @@ def build_parser() -> argparse.ArgumentParser:
                         help="coefficient cache directory "
                              "(default $QMETALLIC_CACHE_DIR or "
                              "~/.cache/qmetallic)")
-    common.add_argument("--jobs", type=int, default=argparse.SUPPRESS,
+    common.add_argument("--jobs", type=_int_at_least(1),
+                        default=argparse.SUPPRESS,
                         help="parallel workers for batch commands")
 
     top = argparse.ArgumentParser(

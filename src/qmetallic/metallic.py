@@ -151,10 +151,10 @@ def _conv_values(n: int, L: int) -> list:
     return vals
 
 
-def _p_extend(n: int, vals: list, L: int, spec: RecurrenceSpec | None = None) -> list:
+def _p_extend(n: int, vals: list, L: int) -> list:
     """Extend a table in place to length L using the polynomial recurrence.
     Needs len(vals) >= valid_from."""
-    spec = spec or recurrence_spec(n)
+    spec = recurrence_spec(n)
     if len(vals) < spec.valid_from:
         raise ValueError("not enough seed values to run the recurrence")
     lags = [(j, ab) for j, ab in enumerate(spec.coeff_polys) if j and ab != (0, 0)]
@@ -179,14 +179,9 @@ def coeffs_convolution(n: int, L: int) -> CoeffTable:
 
 
 def coeffs_p_recurrence(n: int, L: int) -> CoeffTable:
-    """Seeds below 2n+2 come from the convolution engine; everything above is
-    one exact-division step per coefficient."""
+    """The recurrence engine, read from the kappa_values store."""
     n = _check_n(n)
-    seed_len = min(L, 2 * n + 2)
-    vals = _conv_values(n, seed_len)
-    if L > seed_len:
-        _p_extend(n, vals, L)
-    return CoeffTable(n, L, tuple(vals), "precurrence")
+    return CoeffTable(n, L, tuple(kappa_values(n, L)), "precurrence")
 
 
 def phi_series_sqrt(n: int, L: int) -> LaurentSeries:
@@ -296,7 +291,8 @@ _tables_lock = threading.Lock()
 
 
 def kappa_values(n: int, L: int) -> list:
-    """First L coefficients via the fast engine, cached per index in-process."""
+    """First L coefficients, grown per index in-process: the one place the
+    recurrence runs."""
     n = _check_n(n)
     with _tables_lock:
         vals = _tables.setdefault(n, [])
@@ -340,20 +336,20 @@ def _zero_check(s: LaurentSeries, upto: int, label: str) -> CheckResult:
     return CheckResult(False, int(t.valuation), upto, label)
 
 
-def verify_functional_equation(n: int, L: int, engine: str = "precurrence") -> CheckResult:
+def verify_functional_equation(n: int, L: int) -> CheckResult:
     """Check q F^2 - R F - 1 == 0 through q^(L-1)."""
-    f = table_engine(engine)(n, L).to_series()
+    f = phi_series(n, L)
     lhs = (f * f).shift(1) - poly_R(n).to_series() * f - 1
     return _zero_check(lhs, L, "functional-equation")
 
 
-def verify_ode(n: int, L: int, engine: str = "precurrence") -> CheckResult:
+def verify_ode(n: int, L: int) -> CheckResult:
     """Check the first-order differential equation
     4qP F' + (4P - 2qP') F + (R P' - 2 P R') == 0 through q^(L - (2n+3) - 1)."""
     n = _check_n(n)
     if L < 2 * n + 4:
         raise ValueError("need L >= 2n + 4")
-    f = table_engine(engine)(n, L).to_series()
+    f = phi_series(n, L)
     fp = f.derivative()
     P = poly_P(n)
     R = poly_R(n)

@@ -179,18 +179,7 @@ class LaurentSeries:
         order = min(self.order + vb, other.order + va)
         a, b = self.coeffs, other.coeffs
         n = len(a) + len(b) - 1 if order == INF else int(order) - (va + vb)
-        out = [0] * n
-        la, lb = len(a), len(b)
-        for i in range(min(la, n)):
-            ai = a[i]
-            if ai == 0:
-                continue
-            jmax = min(lb, n - i)
-            for j in range(jmax):
-                bj = b[j]
-                if bj:
-                    out[i + j] += ai * bj
-        return LaurentSeries(va + vb, out, order)
+        return LaurentSeries(va + vb, _convolve(a, b, n), order)
 
     __rmul__ = __mul__
 
@@ -251,6 +240,22 @@ def series_add(a: LaurentSeries, b: LaurentSeries) -> LaurentSeries:
 
 def series_mul(a: LaurentSeries, b: LaurentSeries) -> LaurentSeries:
     return a * b
+
+
+def _convolve(a: Sequence, b: Sequence, n: int) -> list:
+    """First n coefficients of a * b, skipping zero coefficients: the one
+    schoolbook product loop of series, polynomials and series_sqrt."""
+    out = [0] * n
+    lb = len(b)
+    for i in range(min(len(a), n)):
+        ai = a[i]
+        if ai == 0:
+            continue
+        for j in range(min(lb, n - i)):
+            bj = b[j]
+            if bj:
+                out[i + j] += ai * bj
+    return out
 
 
 def _window_inverse(c: Sequence, n: int) -> list:
@@ -331,19 +336,10 @@ def series_sqrt(a: LaurentSeries, target_order: int) -> LaurentSeries:
     x = [1]
     m = 1
     while m < n:
-        m2 = min(2 * m, n)
-        invx = _window_inverse(x, m2)
-        u = [0] * m2
-        for i in range(min(len(awin), m2)):
-            ai = awin[i]
-            if ai == 0:
-                continue
-            for j in range(m2 - i):
-                if invx[j]:
-                    u[i + j] += ai * invx[j]
-        x = x + [0] * (m2 - len(x))
-        x = [_half(x[k] + u[k]) for k in range(m2)]
-        m = m2
+        m = min(2 * m, n)
+        u = _convolve(awin, _window_inverse(x, m), m)
+        x += [0] * (m - len(x))
+        x = [_half(xk + uk) for xk, uk in zip(x, u)]
     return LaurentSeries(0, x, n)
 
 
@@ -496,31 +492,10 @@ class IntPolynomial:
             return IntPolynomial([other * c for c in self.coeffs])
         if not isinstance(other, IntPolynomial):
             return NotImplemented
-        if self.is_zero or other.is_zero:
-            return IntPolynomial([])
         a, b = self.coeffs, other.coeffs
-        out = [0] * (len(a) + len(b) - 1)
-        for i, ai in enumerate(a):
-            if ai == 0:
-                continue
-            for j, bj in enumerate(b):
-                if bj:
-                    out[i + j] += ai * bj
-        return IntPolynomial(out)
+        return IntPolynomial(_convolve(a, b, len(a) + len(b) - 1))
 
     __rmul__ = __mul__
-
-    def __pow__(self, e: int):
-        if e < 0:
-            raise ValueError("negative power")
-        out = IntPolynomial([1])
-        base = self
-        while e:
-            if e & 1:
-                out = out * base
-            base = base * base
-            e >>= 1
-        return out
 
     def derivative(self) -> "IntPolynomial":
         return IntPolynomial([i * c for i, c in enumerate(self.coeffs)][1:])

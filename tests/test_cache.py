@@ -6,7 +6,7 @@ import os
 
 import pytest
 
-from qmetallic import cache
+from qmetallic import cache, metallic
 from qmetallic.cache import (
     ARTIFACT_VERSION,
     ENV_CACHE_DIR,
@@ -110,18 +110,24 @@ def test_null_upto_is_corrupt_and_heals(tmp_path):
 @pytest.mark.parametrize("engine", ["conv", "sqrt", "precurrence"])
 def test_only_the_recurrence_extends_a_short_table(tmp_path, monkeypatch,
                                                    engine):
+    # a short entry is recomputed by its own engine and stored again; the
+    # recurrence runs only for the recurrence engine, in the kappa store
     d = str(tmp_path)
     cached_table(2, 20, engine, d)
+    want = kappa_values(2, 60)
     extended = []
 
     def spy(n, vals, L):
-        extended.append(L)
+        extended.append((len(vals), L))
         return _p_extend(n, vals, L)
 
-    monkeypatch.setattr(cache, "_p_extend", spy)
+    monkeypatch.setattr(metallic, "_tables", {})
+    monkeypatch.setattr(metallic, "_p_extend", spy)
     t = cached_table(2, 60, engine, d)
-    assert t.engine == engine and list(t.values) == kappa_values(2, 60)
-    assert extended == ([60] if engine == "precurrence" else [])
+    assert t.engine == engine and list(t.values) == want
+    assert extended == ([(6, 60)] if engine == "precurrence" else [])
+    stored = cache_load((2, engine), d)
+    assert stored.upto == 60 and list(stored.values) == want
 
 
 def test_cached_table_extends_and_persists(tmp_path):

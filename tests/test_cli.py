@@ -10,7 +10,7 @@ import pytest
 from mpmath import mp
 
 from qmetallic import asymptotics as asym
-from qmetallic import identities, rna
+from qmetallic import cli, identities, metallic, rna
 from qmetallic.cli import main
 from qmetallic.identities import IDENTITY_IDS
 from qmetallic.metallic import kappa_values
@@ -207,6 +207,42 @@ def test_verify_runs_the_rank1_dp_once(capsys, monkeypatch, tmp_path):
     assert calls == [(1000, 1)]
 
 
+@pytest.mark.parametrize("n, L, err", [
+    ("1", "9", "verify: need --L >= 10 for n = 1, got 9\n"),
+    ("2", "7", "verify: need --L >= 2n + 4 = 8 for n = 2, got 7\n"),
+])
+def test_verify_order_floor_checked_first(capsys, tmp_path, n, L, err):
+    code, out, got = run(capsys, "verify", "--n", n, "--L", L,
+                         "--cache-dir", str(tmp_path))
+    assert code == 2 and out == "" and got == err
+    assert os.listdir(tmp_path) == []
+
+
+@pytest.mark.parametrize("n, L", [("1", "10"), ("2", "8")])
+def test_verify_order_floor_is_reachable(capsys, tmp_path, n, L):
+    code, out, _ = run(capsys, "verify", "--n", n, "--L", L,
+                       "--cache-dir", str(tmp_path))
+    assert code == 0 and json.loads(out)["ok"] is True
+
+
+def test_verify_runs_the_recurrence_once(capsys, monkeypatch, tmp_path):
+    runs = []
+    extend = metallic._p_extend
+
+    def spy(n, vals, L):
+        runs.append((len(vals), L))
+        return extend(n, vals, L)
+
+    monkeypatch.setattr(metallic, "_tables", {})
+    monkeypatch.setattr(metallic, "_p_extend", spy)
+    code, _, _ = run(capsys, "verify", "--n", "3", "--L", "300",
+                     "--cache-dir", str(tmp_path))
+    assert code == 0
+    # one run from the 2n + 2 seeds to L; the identity suite's deeper
+    # windows (L + n, L + 2n + 2) only extend it, so no value is made twice
+    assert runs == [(8, 300), (300, 303), (303, 308)]
+
+
 def test_verify_golden(capsys):
     code, out, _ = run(capsys, "verify", "--golden")
     assert code == 0
@@ -338,6 +374,37 @@ def test_logconv_batch_deterministic_across_jobs(capsys):
     lines = serial.strip().splitlines()
     assert lines[0].startswith("n,l_max,classification")
     assert len(lines) == 4
+
+
+def test_jobs_bounded_by_task_count(capsys, monkeypatch):
+    workers = []
+
+    class SerialPool:
+        def __init__(self, max_workers):
+            workers.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, items):
+            return map(fn, items)
+
+    monkeypatch.setattr(cli, "ProcessPoolExecutor", SerialPool)
+    code, out, _ = run(capsys, "--jobs", "64", "logconv",
+                       "--n-range", "1..2", "--lmax", "40")
+    assert code == 0 and workers == [2]
+    assert len(out.strip().splitlines()) == 3
+
+
+@pytest.mark.parametrize("jobs", ["0", "-3", "x"])
+def test_jobs_below_one_rejected(capsys, jobs):
+    with pytest.raises(SystemExit) as exc:
+        main(["--jobs", jobs, "logconv", "--n-range", "1..2"])
+    assert exc.value.code == 2
+    assert "--jobs: expected an integer >= 1" in capsys.readouterr().err
 
 
 # -- quantize -----------------------------------------------------------------------

@@ -165,11 +165,6 @@ def test_ode_small():
         assert res and res.checked_order == 120 - (2 * n + 3)
 
 
-def test_engine_parameter_accepts_aliases():
-    assert verify_functional_equation(1, 60, engine="conv")
-    assert verify_ode(1, 60, engine="sqrt")
-
-
 # -- multinomials and Hankel --------------------------------------------------------
 
 
