@@ -256,7 +256,7 @@ _reports: dict = {}
 _reports_lock = threading.Lock()
 
 
-def _gamma_raw(Q, dQ, zeta):
+def _gamma_raw(dQ, zeta):
     """Principal-branch square-root constant at a simple root."""
     with mp.extraprec(_GUARD_BITS):
         dq = dQ(zeta)
@@ -285,7 +285,7 @@ def _build_report(n: int, bits: int) -> SingularityReport:
         edge = min(m + r for m, r in zip(moduli, roots.radii))
         dom = [z for z, m, r in zip(roots, moduli, roots.radii)
                if m - r <= edge]
-        gammas = [_gamma_raw(Q, dQ, z) for z in dom]
+        gammas = [_gamma_raw(dQ, z) for z in dom]
         # Branch calibration: one exact-coefficient probe fixes the sign of
         # the square root for the whole dominant family.
         probe = _CALIBRATION_PROBE
@@ -339,7 +339,7 @@ def gamma_coeff(n: int, zeta, precision_bits: int = DEFAULT_PRECISION):
                 return g
         for z in rep.all_roots:
             if fabs(z - zeta) <= ztol * max(1, fabs(z)):
-                return _gamma_raw(poly_Q(n), poly_Q(n).derivative(), mpc(zeta))
+                return _gamma_raw(poly_Q(n).derivative(), mpc(zeta))
     raise ValueError("zeta is not a root of Q_n at this precision")
 
 

@@ -26,6 +26,7 @@ from .qnum import (
     q_integer,
     quantize_quadratic,
     reciprocal,
+    shift,
 )
 from .series import INF, IntPolynomial, LaurentSeries, series_inverse
 
@@ -156,8 +157,8 @@ def _relation_sides(n: int, L: int) -> dict:
     neg_a = negate(phi, L)
     negrecip_a = neg_reciprocal(phi, L)
     return {
-        "rel1": (phi, recip_a.shift(n) + nq),
-        "rel2": (negrecip_a, neg_a.shift(n) + nq),
+        "rel1": (phi, shift(recip_a, n)),
+        "rel2": (negrecip_a, shift(neg_a, n)),
         "rel3": (negrecip_a, nq + edge - phi),
         "rel4": (phi, edge - neg_a.shift(n)),
         "recip": (recip_a, fam.recip),
@@ -239,6 +240,15 @@ def reflection_check(n: int) -> IdentityReport:
     )
 
 
+@lru_cache(maxsize=1)
+def _branches(cf: PeriodicCF, L: int) -> tuple:
+    """The quadratic form of cf and its two branches to order L (immutable,
+    so conjugate_onset and conjugate_pair_check share one build)."""
+    form = quantize_quadratic(cf)
+    conj = QuadraticForm(form.R, form.P, form.S, -form.sign)
+    return form, form.to_series(L), conj.to_series(L)
+
+
 def conjugate_pair_check(cf: PeriodicCF, L: int) -> IdentityReport:
     """For a quadratic value whose denominator polynomial is a monomial,
     the two square-root branches have opposite coefficients beyond the
@@ -250,8 +260,7 @@ def conjugate_pair_check(cf: PeriodicCF, L: int) -> IdentityReport:
             f"denominator {form.S.coeffs} has {len(nz)} terms"
         )
     deg = nz[0]
-    x = form.to_series(L)
-    conj = QuadraticForm(form.R, form.P, form.S, -form.sign).to_series(L)
+    _, x, conj = _branches(cf, L)
     fail = None
     for j in range(deg + 1, L):
         if x[j] != -conj[j]:
@@ -269,9 +278,7 @@ def conjugate_pair_check(cf: PeriodicCF, L: int) -> IdentityReport:
 def conjugate_onset(cf: PeriodicCF, L: int) -> int | None:
     """Empirical first exponent from which the branch coefficients stay
     opposite through order L (reported, never asserted as a formula)."""
-    form = quantize_quadratic(cf)
-    x = form.to_series(L)
-    conj = QuadraticForm(form.R, form.P, form.S, -form.sign).to_series(L)
+    _, x, conj = _branches(cf, L)
     lo = min(x.valuation, conj.valuation)
     onset = None
     for j in range(int(L) - 1, int(lo) - 1, -1):

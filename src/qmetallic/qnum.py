@@ -7,26 +7,26 @@ positions contribute [a]_{1/q} and a numerator q^(-a).  Rationals come out as
 ratios of integer polynomials, quadratic irrationals as roots of quadratic
 equations over Z[q], and everything else as an integer-coefficient Laurent
 series obtained from stabilizing convergents.
+
+Every Mobius map x -> (a x + b)/(c x + d) here, a deformation step, a
+convergent, the fixed-point map of a periodic tail, or a PSL(2,Z) action, is
+the 2x2 tuple ((a, b), (c, d)) of exact series: _matmul composes maps and
+_act applies one to a series.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 from fractions import Fraction
 
-from .errors import (
-    BranchMismatch,
-    InsufficientOrder,
-    NonIntegralCoefficient,
-    NoStabilization,
-)
+from .errors import BranchMismatch, NoStabilization
 from .series import (
     INF,
     IntPolynomial,
     LaurentSeries,
     assert_integral,
-    constant,
     monomial,
     poly_divexact,
     poly_gcd,
@@ -157,42 +157,38 @@ def rational_cf(r: int, s: int) -> PeriodicCF:
     return PeriodicCF(tuple(entries), ())
 
 
-def _step(a: int, position: int) -> tuple[LaurentSeries, LaurentSeries]:
-    """One deformation step: ([a] in the position's base, its q-power)."""
-    if position % 2 == 0:
-        return q_integer(a), monomial(1, a)
-    return q_integer_recip_base(a), monomial(1, -a)
+# -- Mobius maps as 2x2 matrices ----------------------------------------------
+
+_ONE, _ZERO, _Q = monomial(1, 0), zero(INF), monomial(1, 1)
+_IDENTITY = ((_ONE, _ZERO), (_ZERO, _ONE))
 
 
-class _Convergents:
-    """Numerators/denominators of the deformed convergents, exact series."""
+def _matmul(m, k):
+    """Matrix product m k, the composition of the two maps."""
+    (a, b), (c, d) = m
+    (e, f), (g, h) = k
+    return ((a * e + b * g, a * f + b * h), (c * e + d * g, c * f + d * h))
 
-    def __init__(self, cf: PeriodicCF):
-        self.cf = cf
-        self.k = -1
-        one = monomial(1, 0)
-        self.num, self.num_prev = one, zero(INF)      # A_{-1}, A_{-2}
-        self.den, self.den_prev = zero(INF), one      # C_{-1}, C_{-2}
-        self.w_prev = one                             # w_{-1} acts on index -2
-        self.gap_val = 0                              # val of prod of w_i, i < k
 
-    def advance(self):
-        self.k += 1
-        u, w = _step(self.cf.entry(self.k), self.k)
-        self.num, self.num_prev = u * self.num + self.w_prev * self.num_prev, self.num
-        self.den, self.den_prev = u * self.den + self.w_prev * self.den_prev, self.den
-        if self.k >= 1:
-            self.gap_val += int(self.w_prev.valuation)
-        self.w_prev = w
+def _steps(cf: PeriodicCF, start: int, count: int):
+    """Product of the step matrices ((u_i, w_i), (1, 0)) for positions
+    start..start+count-1: u_i = [a_i]_q, w_i = q^(a_i) at even i, and
+    u_i = [a_i]_{1/q}, w_i = q^(-a_i) at odd i."""
+    m = _IDENTITY
+    for i in range(start, start + count):
+        a = cf.entry(i)
+        if i % 2 == 0:
+            u, w = q_integer(a), monomial(1, a)
+        else:
+            u, w = q_integer_recip_base(a), monomial(1, -a)
+        m = _matmul(m, ((u, w), (_ONE, _ZERO)))
+    return m
 
-    def gap_valuation(self) -> int:
-        """Exact valuation of (current convergent - previous convergent)."""
-        # difference = +-(prod of w_i) / (den * den_prev); the product
-        # telescopes through the determinant of the step matrices
-        return self.gap_val - int(self.den.valuation) - int(self.den_prev.valuation)
 
-    def value(self, order: int) -> LaurentSeries:
-        return series_div(self.num, self.den, order)
+def _act(m, x: LaurentSeries, order: int, context: str) -> LaurentSeries:
+    """The map m applied to the series x, modulo q^order."""
+    (a, b), (c, d) = m
+    return assert_integral(series_div(a * x + b, c * x + d, order), context)
 
 
 def q_real_truncated(cf: PeriodicCF, order: int) -> LaurentSeries:
@@ -200,27 +196,27 @@ def q_real_truncated(cf: PeriodicCF, order: int) -> LaurentSeries:
 
     Convergents are deformed until two consecutive ones agree modulo q^order
     (their difference valuations are strictly increasing, so the stabilized
-    prefix is the limit's); iteration is capped at 16*order + 64.
+    prefix is the limit's); iteration is capped at 16*order + 64.  The step
+    product ((a, b), (c, d)) holds the last two convergents a/c and b/d, and
+    a/c - b/d = det/(c d) with det = +-q^(sum of (-1)^i a_i).
     """
-    conv = _Convergents(cf)
-    conv.advance()
-    cap = 16 * order + 64
     if cf.is_rational:
-        while conv.k < len(cf.preperiod) - 1:
-            conv.advance()
-        return assert_integral(conv.value(order), "q_real_truncated")
-    while True:
-        conv.advance()
-        if conv.k >= 2 and conv.gap_valuation() >= order:
-            a = conv.value(order)
-            b = series_div(conv.num_prev, conv.den_prev, order)
-            if not a.eq_mod(b, order):
+        (a, _), (c, _) = _steps(cf, 0, len(cf.preperiod))
+        return assert_integral(series_div(a, c, order), "q_real_truncated")
+    cap = 16 * order + 64
+    m, det_val = _IDENTITY, 0
+    for k in range(cap + 2):
+        m = _matmul(m, _steps(cf, k, 1))
+        det_val += -cf.entry(k) if k % 2 else cf.entry(k)
+        (a, b), (c, d) = m
+        if k >= 2 and det_val - c.valuation - d.valuation >= order:
+            x = series_div(a, c, order)
+            if not x.eq_mod(series_div(b, d, order), order):
                 raise NoStabilization(
-                    f"convergents {conv.k - 1} and {conv.k} disagree below q^{order}"
+                    f"convergents {k - 1} and {k} disagree below q^{order}"
                 )
-            return assert_integral(a, "q_real_truncated")
-        if conv.k > cap:
-            raise NoStabilization(f"no stabilization after {cap} convergents")
+            return assert_integral(x, "q_real_truncated")
+    raise NoStabilization(f"no stabilization after {cap} convergents")
 
 
 # -- rationals ----------------------------------------------------------------
@@ -247,23 +243,12 @@ class QRational:
         return f"({self.numerator!r}) / ({self.denominator!r})"
 
 
-def _laurent_ratio_to_polys(num: LaurentSeries, den: LaurentSeries) -> tuple[IntPolynomial, IntPolynomial]:
-    """Clear the common q-power so both exact series become polynomials."""
-    m = -min(num.valuation if not num.is_zero else 0,
-             den.valuation if not den.is_zero else 0)
-    m = max(m, 0)
-    n, d = num.shift(m), den.shift(m)
-    for s in (n, d):
-        if not s.is_zero and s.valuation < 0:
-            raise ValueError("ratio does not clear to polynomials")
-
-    def to_poly(s: LaurentSeries) -> IntPolynomial:
-        if s.is_zero:
-            return IntPolynomial([])
-        assert_integral(s, "polynomial ratio")
-        return IntPolynomial([0] * s.valuation + list(s.coeffs))
-
-    return to_poly(n), to_poly(d)
+def _to_polys(*series: LaurentSeries) -> list:
+    """The exact series times the least q^m (m >= 0) that makes every one
+    of them a polynomial."""
+    m = max(0, -min((s.valuation for s in series if s), default=0))
+    return [IntPolynomial(s.coefficients(-m, s.valuation + len(s.coeffs)) if s else [])
+            for s in series]
 
 
 def q_rational(r: int, s: int) -> QRational:
@@ -272,10 +257,9 @@ def q_rational(r: int, s: int) -> QRational:
         raise ValueError("denominator must be >= 1")
     if math.gcd(r, s) != 1:
         raise ValueError("r/s must be in lowest terms")
-    conv = _Convergents(rational_cf(r, s))
-    for _ in range(len(conv.cf.preperiod)):
-        conv.advance()
-    num, den = _laurent_ratio_to_polys(conv.num, conv.den)
+    cf = rational_cf(r, s)
+    (a, _), (c, _) = _steps(cf, 0, len(cf.preperiod))
+    num, den = _to_polys(a, c)
     g = poly_gcd(num, den)
     if g != IntPolynomial([1]):
         num, den = poly_divexact(num, g), poly_divexact(den, g)
@@ -293,9 +277,9 @@ def q_rational(r: int, s: int) -> QRational:
 class QuadraticForm:
     """Deformed quadratic irrational: value = (R + sign*sqrt(P)) / S.
 
-    R, P, S are integer polynomials (P the discriminant, palindromic with
-    nonnegative constant term); sqrt(P) denotes the series branch with
-    positive leading coefficient.
+    R, P, S are integer polynomials (P the discriminant, q^(2k) times a
+    palindromic polynomial with positive lowest coefficient); sqrt(P)
+    denotes the series branch with positive leading coefficient.
     """
 
     R: IntPolynomial
@@ -328,18 +312,7 @@ class QuadraticForm:
         return assert_integral(series_div(num, sden, order), "QuadraticForm.to_series")
 
 
-def _mobius_of_prefix(cf: PeriodicCF, start: int, count: int):
-    """Product of step matrices for positions start..start+count-1, as exact
-    series entries ((A, B), (C, D))."""
-    one, nul = monomial(1, 0), zero(INF)
-    A, B, C, D = one, nul, nul, one
-    for i in range(start, start + count):
-        u, w = _step(cf.entry(i), i)
-        A, B = A * u + B, A * w
-        C, D = C * u + D, C * w
-    return A, B, C, D
-
-
+@lru_cache(maxsize=1)
 def quantize_quadratic(cf: PeriodicCF, probe_order: int = 10) -> QuadraticForm:
     """Quadratic equation over Z[q] satisfied by the deformed value of a
     quadratic irrational, reduced, with the branch matching the deformed
@@ -348,6 +321,8 @@ def quantize_quadratic(cf: PeriodicCF, probe_order: int = 10) -> QuadraticForm:
     The periodic tail is a fixed point of its own deformed Mobius map (two
     copies of the period when its length is odd, to restore base parity);
     conjugating by the preperiod map gives the equation of the value itself.
+    The last result is memoised (it is immutable), so a command that asks
+    for the same form again does not rebuild it.
     """
     if cf.is_rational:
         raise ValueError("quantize_quadratic needs a periodic continued fraction")
@@ -355,28 +330,13 @@ def quantize_quadratic(cf: PeriodicCF, probe_order: int = 10) -> QuadraticForm:
     m = len(cf.period)
     if m % 2:
         m *= 2
-    A, B, C, D = _mobius_of_prefix(cf, s, m)
-    # tail T = (A T + B)/(C T + D)  =>  C T^2 + (D - A) T - B = 0
-    if s:
-        al, be, ga, de = _mobius_of_prefix(cf, 0, s)
-    else:
-        al, be, ga, de = monomial(1, 0), zero(INF), zero(INF), monomial(1, 0)
-    # x = (al T + be)/(ga T + de)  =>  T = (de x - be)/(-ga x + al)
-    DA = D - A
-    ax = C * de * de - DA * de * ga - B * ga * ga
-    bx = -2 * (C * de * be) + DA * (de * al + be * ga) + 2 * (B * ga * al)
-    cx = C * be * be - DA * be * al - B * al * al
-    mshift = -min(v for v in (ax.valuation, bx.valuation, cx.valuation) if v != INF)
-    mshift = max(mshift, 0)
-    polys = []
-    for ser in (ax, bx, cx):
-        ser = ser.shift(mshift)
-        if not ser.is_zero and ser.valuation < 0:
-            raise ValueError("quadratic coefficients do not clear to polynomials")
-        assert_integral(ser, "quantize_quadratic")
-        polys.append(IntPolynomial([0] * int(ser.valuation) + list(ser.coeffs))
-                     if not ser.is_zero else IntPolynomial([]))
-    a, b, c = polys
+    # x = pre(T) with T = tail(T), so x is fixed by pre tail pre^-1, and
+    # (A x + B)/(C x + D) = x  =>  C x^2 + (D - A) x - B = 0
+    pre = _steps(cf, 0, s)
+    (al, be), (ga, de) = pre
+    (A, B), (C, D) = _matmul(_matmul(pre, _steps(cf, s, m)),
+                             ((de, -be), (-ga, al)))
+    a, b, c = _to_polys(C, D - A, -B)
     if a.is_zero:
         raise ValueError("expansion is not genuinely quadratic")
     g = poly_gcd(poly_gcd(a, b), c)
@@ -395,8 +355,10 @@ def quantize_quadratic(cf: PeriodicCF, probe_order: int = 10) -> QuadraticForm:
         raise BranchMismatch("series sits on the double root")
     if (t * t).first_mismatch(P.to_series(), upto=probe_order) is not None:
         raise BranchMismatch("neither branch reproduces the deformed series")
-    if not P.is_palindromic() or P[0] < 0:
-        raise ValueError("discriminant invariant violated (palindromic, P(0) >= 0)")
+    unit = IntPolynomial(P.to_series().coeffs)  # P / q^val(P)
+    if not unit.is_palindromic() or unit[0] <= 0:
+        raise ValueError("discriminant invariant violated "
+                         "(P / q^val(P) palindromic, lowest coefficient > 0)")
     sign = 1 if t.coeffs[0] > 0 else -1
     return QuadraticForm(R, P, S, sign)
 
@@ -411,19 +373,15 @@ def shift(x: LaurentSeries, k: int) -> LaurentSeries:
 
 def neg_reciprocal(x: LaurentSeries, target_order: int) -> LaurentSeries:
     """Deformation of -1/x: -1/(q x), modulo q^target_order."""
-    return assert_integral(series_div(constant(-1), x.shift(1), target_order),
-                           "neg_reciprocal")
+    return _act(((_ZERO, -_ONE), (_Q, _ZERO)), x, target_order, "neg_reciprocal")
 
 
 def negate(x: LaurentSeries, target_order: int) -> LaurentSeries:
     """Deformation of -x: (-x + 1 - q^-1) / ((q-1) x + 1), modulo q^target_order."""
-    num = -x + 1 - monomial(1, -1)
-    den = x.shift(1) - x + 1
-    return assert_integral(series_div(num, den, target_order), "negate")
+    return _act(((-_ONE, _ONE - monomial(1, -1)), (_Q - 1, _ONE)), x,
+                target_order, "negate")
 
 
 def reciprocal(x: LaurentSeries, target_order: int) -> LaurentSeries:
     """Deformation of 1/x: ((q-1) x + 1) / (q x + 1 - q), modulo q^target_order."""
-    num = x.shift(1) - x + 1
-    den = x.shift(1) + 1 - monomial(1, 1)
-    return assert_integral(series_div(num, den, target_order), "reciprocal")
+    return _act(((_Q - 1, _ONE), (_Q, _ONE - _Q)), x, target_order, "reciprocal")

@@ -436,6 +436,38 @@ def test_quantize_rational(capsys):
     assert doc["cf"] == "5;2"
 
 
+def test_quantize_negative_leading_entry(capsys):
+    # a value starting with "-" must be attached with "=", or argparse
+    # reads it as an option
+    code, out, err = run(capsys, "quantize", "--cf=-1;(2)*")
+    assert code == 0, err
+    doc = json.loads(out)
+    assert doc["kind"] == "quadratic" and doc["cf"] == "-1;(2)*"
+
+
+def test_quantize_builds_the_form_once(capsys, monkeypatch):
+    from qmetallic import qnum
+
+    counts = {"q_real_truncated": 0, "to_series": 0}
+
+    def counted(name, real):
+        def spy(*args, **kwargs):
+            counts[name] += 1
+            return real(*args, **kwargs)
+        return spy
+
+    monkeypatch.setattr(qnum, "q_real_truncated",
+                        counted("q_real_truncated", qnum.q_real_truncated))
+    monkeypatch.setattr(qnum.QuadraticForm, "to_series",
+                        counted("to_series", qnum.QuadraticForm.to_series))
+    qnum.quantize_quadratic.cache_clear()
+    identities._branches.cache_clear()
+    code, _, _ = run(capsys, "quantize", "--cf", "3;(1,2,5)*")
+    assert code == 0
+    # one form; its series for the output, then both branches to order 40
+    assert counts == {"q_real_truncated": 1, "to_series": 3}
+
+
 # -- hankel -------------------------------------------------------------------------
 
 

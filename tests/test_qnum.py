@@ -8,7 +8,7 @@ import pytest
 
 from qmetallic.series import INF, IntPolynomial, LaurentSeries
 from qmetallic.errors import BranchMismatch
-from qmetallic.metallic import phi_series
+from qmetallic.metallic import phi_series, poly_P, poly_R
 from qmetallic.qnum import (
     PeriodicCF,
     QuadraticForm,
@@ -192,3 +192,42 @@ def test_reciprocal_factors_through_the_other_two():
     lhs = reciprocal(x, 10)
     rhs = neg_reciprocal(negate(x, 20), 10)
     assert lhs.first_mismatch(rhs, upto=min(lhs.order, rhs.order)) is None
+
+
+def test_group_actions_divide_once(monkeypatch):
+    from qmetallic import qnum
+
+    calls = []
+    real = qnum.series_div
+
+    def spy(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(qnum, "series_div", spy)
+    x = phi_series(3, 30)
+    for act in (reciprocal, negate, neg_reciprocal):
+        calls.clear()
+        act(x, 20)
+        assert len(calls) == 1, act.__name__
+
+
+# -- quadratic irrationals through the matrix path ---------------------------------
+
+
+@pytest.mark.parametrize("a0", range(-3, 7))
+def test_quadratic_form_matches_truncated_deformation(a0):
+    # a0 outside 0..2 used to be rejected: P is q^(2k) times a palindrome
+    for pre in ("", "2,"):
+        for period in ("1", "2", "1,2", "2,1,3"):
+            cf = parse_cf(f"{a0};{pre}({period})*")
+            form = quantize_quadratic(cf)
+            assert form.to_series(30) == q_real_truncated(cf, 30), str(cf)
+
+
+@pytest.mark.parametrize("n", range(1, 9))
+def test_metallic_forms_through_qnum(n):
+    form = quantize_quadratic(parse_cf(f"{n};({n})*"))
+    assert form.R == poly_R(n) and form.P == poly_P(n)
+    assert list(form.S.coeffs) == [0, 2] and form.sign == 1
+    assert form.to_series(60) == phi_series(n, 60)
