@@ -242,11 +242,11 @@ def reflection_check(n: int) -> IdentityReport:
 
 @lru_cache(maxsize=1)
 def _branches(cf: PeriodicCF, L: int) -> tuple:
-    """The quadratic form of cf and its two branches to order L (immutable,
-    so conjugate_onset and conjugate_pair_check share one build)."""
+    """The two branches of cf's quadratic form to order L (immutable, so
+    conjugate_onset and conjugate_pair_check share one build)."""
     form = quantize_quadratic(cf)
     conj = QuadraticForm(form.R, form.P, form.S, -form.sign)
-    return form, form.to_series(L), conj.to_series(L)
+    return form.to_series(L), conj.to_series(L)
 
 
 def conjugate_pair_check(cf: PeriodicCF, L: int) -> IdentityReport:
@@ -260,7 +260,7 @@ def conjugate_pair_check(cf: PeriodicCF, L: int) -> IdentityReport:
             f"denominator {form.S.coeffs} has {len(nz)} terms"
         )
     deg = nz[0]
-    _, x, conj = _branches(cf, L)
+    x, conj = _branches(cf, L)
     fail = None
     for j in range(deg + 1, L):
         if x[j] != -conj[j]:
@@ -278,7 +278,7 @@ def conjugate_pair_check(cf: PeriodicCF, L: int) -> IdentityReport:
 def conjugate_onset(cf: PeriodicCF, L: int) -> int | None:
     """Empirical first exponent from which the branch coefficients stay
     opposite through order L (reported, never asserted as a formula)."""
-    _, x, conj = _branches(cf, L)
+    x, conj = _branches(cf, L)
     lo = min(x.valuation, conj.valuation)
     onset = None
     for j in range(int(L) - 1, int(lo) - 1, -1):

@@ -164,10 +164,11 @@ _IDENTITY = ((_ONE, _ZERO), (_ZERO, _ONE))
 
 
 def _matmul(m, k):
-    """Matrix product m k, the composition of the two maps."""
+    """Matrix product m k, the composition of the two maps.  The factors of
+    k come first: a short step entry then drives the outer product loop."""
     (a, b), (c, d) = m
     (e, f), (g, h) = k
-    return ((a * e + b * g, a * f + b * h), (c * e + d * g, c * f + d * h))
+    return ((e * a + g * b, f * a + h * b), (e * c + g * d, f * c + h * d))
 
 
 def _steps(cf: PeriodicCF, start: int, count: int):
@@ -181,7 +182,8 @@ def _steps(cf: PeriodicCF, start: int, count: int):
             u, w = q_integer(a), monomial(1, a)
         else:
             u, w = q_integer_recip_base(a), monomial(1, -a)
-        m = _matmul(m, ((u, w), (_ONE, _ZERO)))
+        step = ((u, w), (_ONE, _ZERO))
+        m = _matmul(m, step) if i > start else step
     return m
 
 

@@ -176,8 +176,13 @@ class LaurentSeries:
             # valuation == order for zero operands keeps this rule uniform
             return zero(min(self.order + other.valuation, other.order + self.valuation))
         va, vb = self.valuation, other.valuation
-        order = min(self.order + vb, other.order + va)
         a, b = self.coeffs, other.coeffs
+        # an exact factor q^k is a shift: the step matrices of qnum hold 1 and q^(+-a)
+        if b == (1,) and other.order == INF:
+            return self.shift(vb)
+        if a == (1,) and self.order == INF:
+            return other.shift(va)
+        order = min(self.order + vb, other.order + va)
         n = len(a) + len(b) - 1 if order == INF else int(order) - (va + vb)
         return LaurentSeries(va + vb, _convolve(a, b, n), order)
 
@@ -185,6 +190,8 @@ class LaurentSeries:
 
     def shift(self, k: int) -> "LaurentSeries":
         """Multiply by q^k."""
+        if k == 0:
+            return self
         order = self.order if self.order == INF else self.order + k
         if self.is_zero:
             return zero(order)

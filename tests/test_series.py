@@ -142,6 +142,15 @@ def test_mul_exact_polynomials():
     assert series_mul(a, a) == L(0, [1, 2, 1])
 
 
+@pytest.mark.parametrize("k", [-3, 0, 4])
+def test_mul_by_exact_unit_monomial_is_the_shift(k):
+    # the same window, order and trailing zeros as the full product gives
+    for s in (L(-2, [3, 0, Fraction(1, 2), -1], 2), L(1, [1, 2, 0])):
+        expected = L(s.valuation + k, s.coeffs, s.order + k)
+        assert s * monomial(1, k) == expected
+        assert monomial(1, k) * s == expected
+
+
 def test_derivative():
     s = L(-1, [1, 0, 3]).derivative()
     assert s == L(-2, [-1, 0, 3])
