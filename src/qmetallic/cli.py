@@ -254,6 +254,13 @@ def _classify_row(task) -> tuple:
             "" if rep.first_negative is None else rep.first_negative)
 
 
+def _check_lmax(n: int, lmax: int) -> None:
+    """Before any work: classify needs l_max >= 2n + 4 for the largest n."""
+    if n >= 1 and lmax < 2 * n + 4:
+        raise ValueError(f"need --lmax >= 2n + 4 = {2 * n + 4} "
+                         f"for n = {n}, got {lmax}")
+
+
 def cmd_logconv(args) -> int:
     if args.n_range:
         try:
@@ -262,6 +269,7 @@ def cmd_logconv(args) -> int:
             return _fail("logconv: --n-range wants A..B")
         if lo < 1 or hi < lo:
             return _fail("logconv: --n-range wants 1 <= A <= B")
+        _check_lmax(hi, args.lmax)
         tasks = [(n, args.lmax) for n in range(lo, hi + 1)]
         workers = min(args.jobs, len(tasks))
         if workers > 1:
@@ -274,6 +282,7 @@ def cmd_logconv(args) -> int:
         return 0
     if args.n is None:
         return _fail("logconv: need --n or --n-range")
+    _check_lmax(args.n, args.lmax)
     rep = classify(args.n, args.lmax)
     _out(json.dumps(rep.to_json(), indent=1))
     return 0

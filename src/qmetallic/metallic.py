@@ -21,12 +21,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import NonExactDivision, NonIntegralResult
-from .series import (
-    IntPolynomial,
-    LaurentSeries,
-    assert_integral,
-    series_sqrt,
-)
+from .qnum import QuadraticForm
+from .series import IntPolynomial, LaurentSeries
 
 ENGINE_TAGS = ("conv", "precurrence", "closedform", "sqrt")
 
@@ -187,9 +183,7 @@ def coeffs_p_recurrence(n: int, L: int) -> CoeffTable:
 def phi_series_sqrt(n: int, L: int) -> LaurentSeries:
     """The deformed metallic series modulo q^L via (R + sqrt(P)) / (2q)."""
     n = _check_n(n)
-    root = series_sqrt(poly_P(n).to_series().truncate(L + 1), L + 1)
-    num = (poly_R(n).to_series() + root) * Fraction(1, 2)
-    return assert_integral(num.shift(-1).truncate(L), "phi_series_sqrt")
+    return QuadraticForm(poly_R(n), poly_P(n), IntPolynomial([0, 2]), 1).to_series(L)
 
 
 def coeffs_sqrt(n: int, L: int) -> CoeffTable:

@@ -1,8 +1,8 @@
 """Exact Laurent-series and integer-polynomial arithmetic.
 
 Coefficients live in Z or Q: plain `int` wherever possible, stdlib
-`fractions.Fraction` otherwise (re-exported as `BigRat`).  Every operation is
-pure; series objects are immutable after construction.
+`fractions.Fraction` otherwise.  Every operation is pure; series objects are
+immutable after construction.
 
 A truncated series knows its coefficients for exponents
 `valuation <= l < order`.  Exactly-known series (polynomials, q-integers)
@@ -23,8 +23,6 @@ from .errors import (
     NonIntegralCoefficient,
     ZeroSeries,
 )
-
-BigRat = Fraction
 
 # Infinite-order sentinel; compares correctly under min() and +int.
 INF = math.inf
@@ -251,7 +249,7 @@ def series_mul(a: LaurentSeries, b: LaurentSeries) -> LaurentSeries:
 
 def _convolve(a: Sequence, b: Sequence, n: int) -> list:
     """First n coefficients of a * b, skipping zero coefficients: the one
-    schoolbook product loop of series, polynomials and series_sqrt."""
+    schoolbook product loop of series and polynomials."""
     out = [0] * n
     lb = len(b)
     for i in range(min(len(a), n)):
@@ -265,24 +263,20 @@ def _convolve(a: Sequence, b: Sequence, n: int) -> list:
     return out
 
 
-def _window_inverse(c: Sequence, n: int) -> list:
-    """First n coefficients of 1 / (c[0] + c[1] q + ...), c[0] != 0."""
-    c0 = c[0]
-    if c0 == 1:
-        inv0 = 1
-    elif c0 == -1:
-        inv0 = -1
-    else:
-        inv0 = Fraction(1) / c0
-    out = [_canon(inv0)]
-    lc = len(c)
-    for k in range(1, n):
-        acc = 0
-        for i in range(1, min(k, lc - 1) + 1):
-            ci = c[i]
-            if ci:
-                acc += ci * out[k - i]
-        out.append(_canon(-inv0 * acc) if acc else 0)
+def _window_div(num: Sequence, den: Sequence, n: int) -> list:
+    """First n coefficients of num / den, den[0] != 0, by one triangular
+    solve; entries past the end of either list count as zero."""
+    d0 = den[0]
+    inv0 = d0 if d0 in (1, -1) else Fraction(1) / d0
+    ln, ld = len(num), len(den)
+    out = []
+    for k in range(n):
+        acc = num[k] if k < ln else 0
+        for i in range(1, min(k, ld - 1) + 1):
+            di = den[i]
+            if di:
+                acc -= di * out[k - i]
+        out.append(_canon(inv0 * acc) if acc else 0)
     return out
 
 
@@ -296,30 +290,32 @@ def series_inverse(a: LaurentSeries, target_order: int) -> LaurentSeries:
         raise ValueError("target_order must be >= 1")
     if a.is_zero:
         raise ZeroSeries("cannot invert a series with no nonzero known coefficient")
-    va = a.valuation
-    if a.order - va < target_order:
-        raise InsufficientOrder(
-            f"need {target_order} known coefficients of the unit part, "
-            f"have {a.order - va}"
-        )
-    window = list(a.coeffs[:target_order])
-    window += [0] * (target_order - len(window))
-    inv = _window_inverse(window, target_order)
-    return LaurentSeries(-va, inv, target_order - va)
+    return series_div(constant(1), a, target_order - a.valuation)
 
 
 def series_div(num: LaurentSeries, den: LaurentSeries, target_order: int) -> LaurentSeries:
-    """num / den known modulo q^target_order."""
+    """num / den known modulo q^min(target_order, num.order - val(den)).
+
+    Takes target_order + val(den) - val(num) known coefficients of den's
+    unit part den / q^val(den); an exact den is never padded.
+    """
     if den.is_zero:
         raise ZeroSeries("cannot divide by a series with no nonzero known coefficient")
     if num.is_zero:
         lim = INF if num.order == INF else num.order - den.valuation
         return zero(min(target_order, lim))
-    t = target_order + den.valuation - num.valuation
+    vn, vd = num.valuation, den.valuation
+    t = target_order + vd - vn
     if t < 1:
         return zero(target_order)
-    inv = series_inverse(den, t)
-    return (num * inv).truncate(target_order)
+    if den.order - vd < t:
+        raise InsufficientOrder(
+            f"need {t} known coefficients of the unit part, have {den.order - vd}"
+        )
+    m = min(t, num.order - vn)
+    return LaurentSeries(
+        vn - vd, _window_div(num.coeffs[:m], den.coeffs[:t], m), vn - vd + m
+    )
 
 
 def series_sqrt(a: LaurentSeries, target_order: int) -> LaurentSeries:
@@ -338,13 +334,12 @@ def series_sqrt(a: LaurentSeries, target_order: int) -> LaurentSeries:
             f"need {target_order} known coefficients, have {a.order - a.valuation}"
         )
     n = target_order
-    awin = list(a.coeffs[:n])
-    awin += [0] * (n - len(awin))
+    awin = a.coeffs[:n]
     x = [1]
     m = 1
     while m < n:
         m = min(2 * m, n)
-        u = _convolve(awin, _window_inverse(x, m), m)
+        u = _window_div(awin, x, m)
         x += [0] * (m - len(x))
         x = [_half(xk + uk) for xk, uk in zip(x, u)]
     return LaurentSeries(0, x, n)

@@ -399,6 +399,24 @@ def test_jobs_bounded_by_task_count(capsys, monkeypatch):
     assert len(out.strip().splitlines()) == 3
 
 
+def test_logconv_small_lmax_names_the_flag(capsys):
+    code, out, err = run(capsys, "logconv", "--n", "2", "--lmax", "7")
+    assert code == 2 and out == ""
+    assert err == "logconv: need --lmax >= 2n + 4 = 8 for n = 2, got 7\n"
+
+
+def test_logconv_range_checks_lmax_before_any_work(capsys, monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("work started before the --lmax check")
+
+    monkeypatch.setattr(cli, "ProcessPoolExecutor", refuse)
+    monkeypatch.setattr(cli, "classify", refuse)
+    code, out, err = run(capsys, "--jobs", "2", "logconv",
+                         "--n-range", "1..3", "--lmax", "7")
+    assert code == 2 and out == ""
+    assert err == "logconv: need --lmax >= 2n + 4 = 10 for n = 3, got 7\n"
+
+
 @pytest.mark.parametrize("jobs", ["0", "-3", "x"])
 def test_jobs_below_one_rejected(capsys, jobs):
     with pytest.raises(SystemExit) as exc:

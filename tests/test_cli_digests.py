@@ -46,6 +46,10 @@ COMMANDS = [
     ["quantize", "--cf", "0;2,(1,1,1,4)*"],
     ["quantize", "--cf", "5;2"],
     ["hankel", "--n", "1", "--max-s", "2", "--max-j", "6"],
+    ["coeffs", "--n", "3", "--L", "40", "--engine", "sqrt"],
+    ["coeffs", "--n", "5", "--L", "40", "--engine", "conv"],
+    ["quantize", "--cf", "3;7,15,1,292"],
+    ["quantize", "--cf=-1;(2)*"],
 ]
 
 

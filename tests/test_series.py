@@ -184,6 +184,76 @@ def test_div():
     assert q.coefficients(0, 2) == [1, 1]
 
 
+def _random_coeff(rng, field):
+    c = rng.randint(-6, 6)
+    return Fraction(c, rng.randint(1, 5)) if field == "Q" else c
+
+
+@pytest.mark.parametrize("field", ["Z", "Q"])
+def test_div_contract(field):
+    rng = random.Random(271828 if field == "Z" else 314159)
+    for _ in range(300):
+        vd = rng.randint(-3, 3)
+        target = rng.randint(-4, 25)
+        vn = rng.randint(-4, 4)
+        t = target + vd - vn
+        head = rng.choice([1, -1, 2, -3]) if field == "Z" else \
+            Fraction(rng.choice([1, -2, 3]), rng.randint(1, 4))
+        if rng.random() < 0.5:
+            # short exact denominator
+            den = L(vd, [head] + [_random_coeff(rng, field)
+                                  for _ in range(rng.randint(0, 3))])
+        else:
+            known = max(t, 1) + rng.randint(0, 4)
+            den = L(vd, [head] + [_random_coeff(rng, field)
+                                  for _ in range(known - 1)], vd + known)
+        ncs = [_random_coeff(rng, field) or 1] + \
+            [_random_coeff(rng, field) for _ in range(rng.randint(0, 20))]
+        exact = rng.random() < 0.4
+        num = L(vn, ncs) if exact else L(vn, ncs, vn + len(ncs))
+        r = series_div(num, den, target)
+        assert r.order == min(target, num.order - vd)
+        if r.is_zero:
+            assert t < 1
+            continue
+        assert r.valuation == vn - vd
+        upto = r.order + vd
+        prod = series_mul(r, den)
+        assert min(prod.order, num.order) >= upto
+        assert prod.first_mismatch(num, upto=upto) is None
+
+
+def test_div_of_zero_numerator():
+    den = L(-2, [3, 1], 0)
+    assert series_div(zero(), den, 8) == zero(8)
+    assert series_div(zero(4), den, 8) == zero(6)
+    assert series_div(zero(20), den, 8) == zero(8)
+
+
+def test_div_insufficient_order():
+    with pytest.raises(InsufficientOrder,
+                       match="need 10 known coefficients of the unit part, have 3"):
+        series_div(L(1, [1, 2], 3), L(1, [1, 1, 0], 4), 10)
+
+
+def test_div_by_exact_cubic_is_not_padded(monkeypatch):
+    from qmetallic import series as series_mod
+
+    calls = []
+    real = series_mod._window_div
+
+    def spy(num, den, n):
+        calls.append((len(num), len(den), n))
+        return real(num, den, n)
+
+    monkeypatch.setattr(series_mod, "_window_div", spy)
+    num = L(0, list(range(1, 51)), 50)
+    den = L(0, [1, 2, 0, 3])
+    r = series_div(num, den, 40)
+    assert calls == [(40, 4, 40)]
+    assert series_mul(r, den).eq_mod(num, upto=40)
+
+
 def test_sqrt_strict_contract():
     with pytest.raises(BadConstantTerm):
         series_sqrt(L(0, [4, 1] + [0] * 8, 10), 4)
