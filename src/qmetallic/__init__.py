@@ -17,9 +17,10 @@ from .errors import (BadConstantTerm, BranchMismatch, BudgetExceeded,
                      NonIntegralCoefficient, NonIntegralResult,
                      NoStabilization, NotMonomialDenominator, QMetallicError,
                      ZeroSeries)
-from .series import (INF, IntPolynomial, LaurentSeries, constant, format_q,
-                     from_json, monomial, series_add, series_div,
-                     series_inverse, series_mul, series_sqrt, to_json, zero)
+from .series import (INF, LaurentSeries, constant, format_q, from_json,
+                     monomial, poly_coeffs, poly_divexact, poly_gcd, reversal,
+                     series_div, series_inverse, series_mul, series_sqrt,
+                     to_json, zero)
 from .qnum import (PeriodicCF, QRational, QuadraticForm, cf_to_text, negate,
                    neg_reciprocal, parse_cf, q_integer, q_rational,
                    q_real_truncated, quantize_quadratic, rational_cf,

@@ -31,6 +31,7 @@ from .errors import (
     NoConvergence,
 )
 from .metallic import kappa_values, poly_Q, _check_n
+from .series import poly_coeffs
 
 DEFAULT_PRECISION = 256
 _GUARD_BITS = 64
@@ -256,10 +257,11 @@ _reports: dict = {}
 _reports_lock = threading.Lock()
 
 
-def _gamma_raw(dQ, zeta):
-    """Principal-branch square-root constant at a simple root."""
+def _gamma_raw(coeffs, zeta):
+    """Principal-branch square-root constant at a simple root of the
+    polynomial Q with these (ascending) coefficients."""
     with mp.extraprec(_GUARD_BITS):
-        dq = dQ(zeta)
+        _, dq = _horner2(coeffs, zeta)
         if fabs(dq) < mpf(2) ** (-(mp.prec // 2)):
             raise MultipleRoot(f"derivative vanishes at {nstr(zeta, 8)}")
         # Q(q)/(zeta - q) at q=zeta equals -Q'(zeta)
@@ -275,9 +277,8 @@ def _alpha_from(dominant, gammas, l):
 
 
 def _build_report(n: int, bits: int) -> SingularityReport:
-    Q = poly_Q(n)
-    dQ = Q.derivative()
-    roots = all_roots(list(Q.coeffs), bits)
+    coeffs = poly_coeffs(poly_Q(n))
+    roots = all_roots(coeffs, bits)
     with mp.workprec(bits + _GUARD_BITS):
         moduli = [fabs(z) for z in roots]
         rho = min(moduli)
@@ -285,7 +286,7 @@ def _build_report(n: int, bits: int) -> SingularityReport:
         edge = min(m + r for m, r in zip(moduli, roots.radii))
         dom = [z for z, m, r in zip(roots, moduli, roots.radii)
                if m - r <= edge]
-        gammas = [_gamma_raw(dQ, z) for z in dom]
+        gammas = [_gamma_raw(coeffs, z) for z in dom]
         # Branch calibration: one exact-coefficient probe fixes the sign of
         # the square root for the whole dominant family.
         probe = _CALIBRATION_PROBE
@@ -339,7 +340,7 @@ def gamma_coeff(n: int, zeta, precision_bits: int = DEFAULT_PRECISION):
                 return g
         for z in rep.all_roots:
             if fabs(z - zeta) <= ztol * max(1, fabs(z)):
-                return _gamma_raw(poly_Q(n).derivative(), mpc(zeta))
+                return _gamma_raw(poly_coeffs(poly_Q(n)), mpc(zeta))
     raise ValueError("zeta is not a root of Q_n at this precision")
 
 

@@ -28,7 +28,7 @@ from .metallic import (ENGINE_TAGS, canonical_engine_tag, hankel,
 from .qnum import (cf_to_text, parse_cf, q_rational, quantize_quadratic,
                    rational_value)
 from .rna import count_structures, enumerate_structures, sign_bridge_check
-from .series import to_json as series_to_json
+from .series import poly_coeffs, to_json as series_to_json
 
 
 def _out(text: str) -> None:
@@ -294,9 +294,9 @@ def cmd_quantize(args) -> int:
     if cf.period:
         form = quantize_quadratic(cf)
         doc["kind"] = "quadratic"
-        doc["R"] = list(form.R.coeffs)
-        doc["P"] = list(form.P.coeffs)
-        doc["S"] = list(form.S.coeffs)
+        doc["R"] = poly_coeffs(form.R)
+        doc["P"] = poly_coeffs(form.P)
+        doc["S"] = poly_coeffs(form.S)
         doc["sign"] = form.sign
         doc["series"] = series_to_json(form.to_series(12))
         try:
@@ -309,8 +309,8 @@ def cmd_quantize(args) -> int:
         r, s = rational_value(cf)
         qr = q_rational(r, s)
         doc["kind"] = "rational"
-        doc["R"] = list(qr.numerator.coeffs)
-        doc["S"] = list(qr.denominator.coeffs)
+        doc["R"] = poly_coeffs(qr.numerator)
+        doc["S"] = poly_coeffs(qr.denominator)
         doc["series"] = series_to_json(qr.to_series(12))
     _out(json.dumps(doc, indent=1))
     return 0

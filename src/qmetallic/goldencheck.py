@@ -22,7 +22,7 @@ from .identities import laurent_family
 from .metallic import kappa_values, phi_series, poly_P, poly_Q, poly_R
 from .qnum import negate, neg_reciprocal, parse_cf, q_real_truncated, quantize_quadratic
 from .rna import motzkin_values, rna_recurrence
-from .series import from_json, series_inverse
+from .series import from_json, poly_coeffs, series_inverse
 
 REL_TOL = mpf("5e-12")
 # (table, l) -> relaxed tolerance for the one documented noisy reference entry
@@ -90,9 +90,9 @@ def golden_failures(goldens_dir: str, precision_bits: int = 256) -> list:
     doc = _read(goldens_dir, "quadratic_forms.json")
     for name, entry in doc.items():
         form = quantize_quadratic(parse_cf(entry["cf"]))
-        ok = (list(form.R.coeffs) == entry["R"]
-              and list(form.P.coeffs) == entry["P"]
-              and list(form.S.coeffs) == entry["S"]
+        ok = (poly_coeffs(form.R) == entry["R"]
+              and poly_coeffs(form.P) == entry["P"]
+              and poly_coeffs(form.S) == entry["S"]
               and form.sign == entry["sign"])
         if not ok:
             failures.append(f"quadratic_forms:{name}")
@@ -101,7 +101,7 @@ def golden_failures(goldens_dir: str, precision_bits: int = 256) -> list:
     fns = {"R": poly_R, "P": poly_P, "Q": poly_Q}
     for kind, table in doc.items():
         for n_str, coeffs in table.items():
-            if list(fns[kind](int(n_str)).coeffs) != coeffs:
+            if poly_coeffs(fns[kind](int(n_str))) != coeffs:
                 failures.append(f"polynomials:{kind}_{n_str}")
 
     for name, n in TABLE_INDEX.items():

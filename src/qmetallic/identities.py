@@ -17,7 +17,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 from .errors import NotMonomialDenominator
-from .metallic import _check_n, kappa_values, phi_series, poly_P, poly_R
+from .metallic import _check_n, _edge, kappa_values, phi_series, poly_P, poly_R
 from .qnum import (
     PeriodicCF,
     QuadraticForm,
@@ -28,7 +28,7 @@ from .qnum import (
     reciprocal,
     shift,
 )
-from .series import INF, IntPolynomial, LaurentSeries, series_inverse
+from .series import INF, LaurentSeries, poly_coeffs, reversal, series_inverse
 
 IDENTITY_IDS = (
     "rel1", "rel2", "rel3", "rel4",
@@ -84,12 +84,6 @@ def _series_from_items(items, order) -> LaurentSeries:
     lo = min(d)
     hi = order if order != INF else max(d) + 1
     return LaurentSeries(lo, [d.get(e, 0) for e in range(lo, int(hi))], order)
-
-
-def _edge_term(n: int) -> LaurentSeries:
-    """(q^n + 1)(q - 1)/q, an exact Laurent polynomial."""
-    p = (IntPolynomial([0] * n + [1]) + 1) * IntPolynomial([-1, 1])
-    return p.to_series().shift(-1)
 
 
 def alpha_poly(n: int) -> LaurentSeries:
@@ -152,7 +146,7 @@ def _relation_sides(n: int, L: int) -> dict:
     # valuation n (the n leading coefficients of x are all 1)
     phi = phi_series(n, L + 2 * n + 2)
     nq = q_integer(n)
-    edge = _edge_term(n)
+    edge = _edge(n).shift(-1)  # (q^n + 1)(q - 1)/q
     recip_a = reciprocal(phi, L)
     neg_a = negate(phi, L)
     negrecip_a = neg_reciprocal(phi, L)
@@ -209,13 +203,12 @@ def _reflection_single(n: int, identity_id: str) -> IdentityReport:
     R = poly_R(n)
     P = poly_P(n)
     if identity_id == "reflectR":
-        edge2 = 2 * ((IntPolynomial([0] * n + [1]) + 1) * IntPolynomial([1, -1]))
-        diff = R.reversal(n + 1) - (R + edge2)
+        diff = reversal(R, n + 1) - (R - 2 * _edge(n))
         width = n + 2
     else:
-        diff = P.reversal(2 * n + 2) - P
+        diff = reversal(P, 2 * n + 2) - P
         width = 2 * n + 3
-    fail = None if diff.is_zero else next(i for i, c in enumerate(diff.coeffs) if c)
+    fail = None if diff.is_zero else diff.valuation
     return IdentityReport(
         n=n,
         identity_id=identity_id,
@@ -253,13 +246,13 @@ def conjugate_pair_check(cf: PeriodicCF, L: int) -> IdentityReport:
     """For a quadratic value whose denominator polynomial is a monomial,
     the two square-root branches have opposite coefficients beyond the
     monomial degree."""
-    form = quantize_quadratic(cf)
-    nz = [i for i, c in enumerate(form.S.coeffs) if c]
-    if len(nz) != 1:
+    S = quantize_quadratic(cf).S
+    terms = sum(1 for c in S.coeffs if c)
+    if terms != 1:
         raise NotMonomialDenominator(
-            f"denominator {form.S.coeffs} has {len(nz)} terms"
+            f"denominator {tuple(poly_coeffs(S))} has {terms} terms"
         )
-    deg = nz[0]
+    deg = S.valuation
     x, conj = _branches(cf, L)
     fail = None
     for j in range(deg + 1, L):

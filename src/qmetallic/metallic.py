@@ -22,7 +22,7 @@ from fractions import Fraction
 
 from .errors import NonExactDivision, NonIntegralResult
 from .qnum import QuadraticForm
-from .series import IntPolynomial, LaurentSeries
+from .series import LaurentSeries, monomial, poly_coeffs
 
 ENGINE_TAGS = ("conv", "precurrence", "closedform", "sqrt")
 
@@ -34,31 +34,33 @@ def _check_n(n: int) -> int:
     return n
 
 
-# -- characteristic polynomials ------------------------------------------------
+# -- characteristic polynomials (exact series) ----------------------------------
 
 
-def poly_R(n: int) -> IntPolynomial:
+def _edge(n: int) -> LaurentSeries:
+    """(q^n + 1)(q - 1)."""
+    return (monomial(1, n) + 1) * LaurentSeries(0, [-1, 1])
+
+
+def poly_R(n: int) -> LaurentSeries:
     """Linear coefficient of the quadratic equation: q [n]_q + (q^n+1)(q-1)."""
     n = _check_n(n)
-    qn = IntPolynomial([0] + [1] * n)  # q * [n]_q
-    edge = IntPolynomial([0] * n + [1]) + 1  # q^n + 1
-    return qn + edge * IntPolynomial([-1, 1])
+    return LaurentSeries(1, [1] * n) + _edge(n)
 
 
-def poly_Q(n: int) -> IntPolynomial:
+def poly_Q(n: int) -> LaurentSeries:
     """Reduced discriminant factor: [n+1]_q^2 - q [2n-1]_q + 2 q^n."""
     n = _check_n(n)
-    a = IntPolynomial([1] * (n + 1))
-    b = IntPolynomial([0] + [1] * (2 * n - 1))
-    return a * a - b + IntPolynomial([0] * n + [2])
+    a = LaurentSeries(0, [1] * (n + 1))
+    return a * a - LaurentSeries(1, [1] * (2 * n - 1)) + monomial(2, n)
 
 
-def poly_P(n: int) -> IntPolynomial:
+def poly_P(n: int) -> LaurentSeries:
     """Discriminant R^2 + 4q; factors as (1 - q + q^2) * Q (checked)."""
     n = _check_n(n)
     r = poly_R(n)
-    p = r * r + IntPolynomial([0, 4])
-    if p != IntPolynomial([1, -1, 1]) * poly_Q(n):
+    p = r * r + monomial(4, 1)
+    if p != LaurentSeries(0, [1, -1, 1]) * poly_Q(n):
         raise AssertionError("discriminant factorization failed")
     return p
 
@@ -130,8 +132,7 @@ def recurrence_spec(n: int) -> RecurrenceSpec:
 
 def _conv_values(n: int, L: int) -> list:
     """Coefficients 0..L-1 from the quadratic equation by convolution."""
-    r = poly_R(n)
-    rc = r.coeffs  # r[0] == -1
+    rc = poly_coeffs(poly_R(n))  # rc[0] == -1
     seeds = [1] * n + [0]
     vals = seeds[:L]
     for l in range(len(vals), L):
@@ -183,7 +184,7 @@ def coeffs_p_recurrence(n: int, L: int) -> CoeffTable:
 def phi_series_sqrt(n: int, L: int) -> LaurentSeries:
     """The deformed metallic series modulo q^L via (R + sqrt(P)) / (2q)."""
     n = _check_n(n)
-    return QuadraticForm(poly_R(n), poly_P(n), IntPolynomial([0, 2]), 1).to_series(L)
+    return QuadraticForm(poly_R(n), poly_P(n), monomial(2, 1), 1).to_series(L)
 
 
 def coeffs_sqrt(n: int, L: int) -> CoeffTable:
@@ -333,7 +334,7 @@ def _zero_check(s: LaurentSeries, upto: int, label: str) -> CheckResult:
 def verify_functional_equation(n: int, L: int) -> CheckResult:
     """Check q F^2 - R F - 1 == 0 through q^(L-1)."""
     f = phi_series(n, L)
-    lhs = (f * f).shift(1) - poly_R(n).to_series() * f - 1
+    lhs = (f * f).shift(1) - poly_R(n) * f - 1
     return _zero_check(lhs, L, "functional-equation")
 
 
@@ -349,9 +350,9 @@ def verify_ode(n: int, L: int) -> CheckResult:
     R = poly_R(n)
     Pp, Rp = P.derivative(), R.derivative()
     lhs = (
-        (P.to_series() * fp).shift(1) * 4
-        + (P.to_series() * 4 - Pp.to_series().shift(1) * 2) * f
-        + (R * Pp - 2 * (P * Rp)).to_series()
+        (P * fp).shift(1) * 4
+        + (P * 4 - Pp.shift(1) * 2) * f
+        + (R * Pp - 2 * (P * Rp))
     )
     return _zero_check(lhs, L - (2 * n + 3), "differential-equation")
 

@@ -6,7 +6,8 @@ at even positions contribute [a]_q and a numerator q^a, entries at odd
 positions contribute [a]_{1/q} and a numerator q^(-a).  Rationals come out as
 ratios of integer polynomials, quadratic irrationals as roots of quadratic
 equations over Z[q], and everything else as an integer-coefficient Laurent
-series obtained from stabilizing convergents.
+series obtained from stabilizing convergents.  A polynomial is an exact
+series (order INF) in Z[q].
 
 Every Mobius map x -> (a x + b)/(c x + d) here, a deformation step, a
 convergent, the fixed-point map of a periodic tail, or a PSL(2,Z) action, is
@@ -18,15 +19,16 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import lru_cache, reduce
 from fractions import Fraction
 
 from .errors import BranchMismatch, NoStabilization
 from .series import (
     INF,
-    IntPolynomial,
     LaurentSeries,
     assert_integral,
+    assert_polynomial,
+    format_q,
     monomial,
     poly_divexact,
     poly_gcd,
@@ -102,26 +104,18 @@ class PeriodicCF:
 def parse_cf(text: str) -> PeriodicCF:
     """Parse 'a0;a1,a2,...,(p1,p2,...)*' (the periodic part optional)."""
     t = text.strip().replace(" ", "")
-    if ";" in t:
-        head, rest = t.split(";", 1)
-    else:
-        head, rest = t, ""
-    if not head:
-        raise ValueError(f"missing leading entry in {text!r}")
-    pre = [int(head)]
-    period: list[int] = []
-    if rest:
-        if "(" in rest:
-            plain, par = rest.split("(", 1)
-            if not par.endswith(")*"):
-                raise ValueError(f"unterminated periodic block in {text!r}")
-            period = [int(v) for v in par[:-2].split(",") if v]
-            plain = plain.rstrip(",")
-            if plain:
-                pre += [int(v) for v in plain.split(",") if v]
-        else:
-            pre += [int(v) for v in rest.split(",") if v]
-    return PeriodicCF(tuple(pre), tuple(period))
+    head, _, rest = t.partition(";")
+    plain, paren, par = rest.partition("(")
+    if paren:
+        if not par.endswith(")*"):
+            raise ValueError(f"unterminated periodic block in {text!r}")
+        plain = plain[:-1] if plain.endswith(",") else plain
+    entries = [head] + (plain.split(",") if plain else [])
+    period = par[:-2].split(",") if paren else []
+    if not all(entries) or not all(period):
+        raise ValueError(f"empty entry in {text!r}")
+    return PeriodicCF(tuple(int(v) for v in entries),
+                      tuple(int(v) for v in period))
 
 
 def cf_to_text(cf: PeriodicCF) -> str:
@@ -224,33 +218,32 @@ def q_real_truncated(cf: PeriodicCF, order: int) -> LaurentSeries:
 # -- rationals ----------------------------------------------------------------
 
 
+def _divide_by_gcd(*series: LaurentSeries) -> list:
+    """Exact series divided by their gcd: polynomials with no common factor,
+    the lowest exponent among them 0."""
+    g = reduce(poly_gcd, series)
+    return list(series) if g == _ONE else [poly_divexact(s, g) for s in series]
+
+
 @dataclass(frozen=True)
 class QRational:
     """Deformed rational as a reduced ratio of integer polynomials."""
 
-    numerator: IntPolynomial
-    denominator: IntPolynomial
+    numerator: LaurentSeries
+    denominator: LaurentSeries
 
     def __post_init__(self):
+        for name in ("numerator", "denominator"):
+            assert_polynomial(getattr(self, name), f"QRational.{name}")
         if self.denominator.is_zero:
             raise ValueError("denominator polynomial must be nonzero")
 
     def to_series(self, order: int) -> LaurentSeries:
-        return assert_integral(
-            series_div(self.numerator.to_series(), self.denominator.to_series(), order),
-            "QRational.to_series",
-        )
+        return assert_integral(series_div(self.numerator, self.denominator, order),
+                               "QRational.to_series")
 
     def __str__(self):
-        return f"({self.numerator!r}) / ({self.denominator!r})"
-
-
-def _to_polys(*series: LaurentSeries) -> list:
-    """The exact series times the least q^m (m >= 0) that makes every one
-    of them a polynomial."""
-    m = max(0, -min((s.valuation for s in series if s), default=0))
-    return [IntPolynomial(s.coefficients(-m, s.valuation + len(s.coeffs)) if s else [])
-            for s in series]
+        return f"({format_q(self.numerator)}) / ({format_q(self.denominator)})"
 
 
 def q_rational(r: int, s: int) -> QRational:
@@ -261,13 +254,9 @@ def q_rational(r: int, s: int) -> QRational:
         raise ValueError("r/s must be in lowest terms")
     cf = rational_cf(r, s)
     (a, _), (c, _) = _steps(cf, 0, len(cf.preperiod))
-    num, den = _to_polys(a, c)
-    g = poly_gcd(num, den)
-    if g != IntPolynomial([1]):
-        num, den = poly_divexact(num, g), poly_divexact(den, g)
+    num, den = _divide_by_gcd(a, c)
     # lowest nonzero denominator coefficient made positive
-    lead = next(c for c in den.coeffs if c != 0)
-    if lead < 0:
+    if den.coeffs[0] < 0:
         num, den = -num, -den
     return QRational(num, den)
 
@@ -284,18 +273,23 @@ class QuadraticForm:
     denotes the series branch with positive leading coefficient.
     """
 
-    R: IntPolynomial
-    P: IntPolynomial
-    S: IntPolynomial
+    R: LaurentSeries
+    P: LaurentSeries
+    S: LaurentSeries
     sign: int
 
     def __post_init__(self):
+        for name in ("R", "P", "S"):
+            assert_polynomial(getattr(self, name), f"QuadraticForm.{name}")
+        if self.S.is_zero:
+            raise ValueError("denominator polynomial must be nonzero")
         if self.sign not in (-1, 1):
             raise ValueError("sign must be +-1")
 
     def sqrt_disc(self, order: int) -> LaurentSeries:
-        """Canonical branch of sqrt(P): positive leading coefficient."""
-        p = self.P.to_series()
+        """Canonical branch of sqrt(P) modulo q^(order + val(P)/2): positive
+        leading coefficient."""
+        p = self.P
         v = p.valuation
         if v % 2:
             raise BranchMismatch("discriminant valuation is odd")
@@ -303,15 +297,17 @@ class QuadraticForm:
         k = math.isqrt(lead)
         if k * k != lead:
             raise BranchMismatch("leading discriminant coefficient is not a square")
-        unit = (p.shift(-v) * Fraction(1, k * k)).truncate(order)
-        root = series_sqrt(unit, order)
-        return (root * k).shift(v // 2)
+        unit = p.shift(-v)
+        if k == 1:
+            return series_sqrt(unit, order).shift(v // 2)
+        return (series_sqrt(unit * Fraction(1, k * k), order) * k).shift(v // 2)
 
     def to_series(self, order: int) -> LaurentSeries:
-        sden = self.S.to_series()
-        root = self.sqrt_disc(order + max(0, int(sden.valuation)) + 4)
-        num = self.R.to_series() + root * self.sign
-        return assert_integral(series_div(num, sden, order), "QuadraticForm.to_series")
+        # R + sign sqrt(P) is then known modulo q^(order + val(S)), all
+        # that the division by S can use (val(S) >= 0, S a polynomial)
+        root = self.sqrt_disc(order + self.S.valuation)
+        return assert_integral(series_div(self.R + root * self.sign, self.S, order),
+                               "QuadraticForm.to_series")
 
 
 @lru_cache(maxsize=1)
@@ -338,27 +334,24 @@ def quantize_quadratic(cf: PeriodicCF, probe_order: int = 10) -> QuadraticForm:
     (al, be), (ga, de) = pre
     (A, B), (C, D) = _matmul(_matmul(pre, _steps(cf, s, m)),
                              ((de, -be), (-ga, al)))
-    a, b, c = _to_polys(C, D - A, -B)
-    if a.is_zero:
+    if C.is_zero:
         raise ValueError("expansion is not genuinely quadratic")
-    g = poly_gcd(poly_gcd(a, b), c)
-    if g != IntPolynomial([1]):
-        a, b, c = (poly_divexact(p, g) for p in (a, b, c))
-    if next(x for x in a.coeffs if x) < 0:
+    a, b, c = _divide_by_gcd(C, D - A, -B)
+    if a.coeffs[0] < 0:
         a, b, c = -a, -b, -c
     R = -b
     P = b * b - 4 * (a * c)
     S = 2 * a
     # branch: compare t = S*x - R against the canonical sqrt(P)
-    margin = 2 + max(0, int(S.to_series().valuation)) + sum(abs(e) for e in cf.preperiod) + 2 * sum(cf.period)
+    margin = 2 + S.valuation + sum(abs(e) for e in cf.preperiod) + 2 * sum(cf.period)
     xhat = q_real_truncated(cf, probe_order + margin)
-    t = S.to_series() * xhat - R.to_series()
+    t = S * xhat - R
     if t.is_zero:
         raise BranchMismatch("series sits on the double root")
-    if (t * t).first_mismatch(P.to_series(), upto=probe_order) is not None:
+    if (t * t).first_mismatch(P, upto=probe_order) is not None:
         raise BranchMismatch("neither branch reproduces the deformed series")
-    unit = IntPolynomial(P.to_series().coeffs)  # P / q^val(P)
-    if not unit.is_palindromic() or unit[0] <= 0:
+    # P / q^val(P) is its coefficient tuple
+    if not P or P.coeffs != P.coeffs[::-1] or P.coeffs[0] <= 0:
         raise ValueError("discriminant invariant violated "
                          "(P / q^val(P) palindromic, lowest coefficient > 0)")
     sign = 1 if t.coeffs[0] > 0 else -1

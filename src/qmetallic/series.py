@@ -1,13 +1,15 @@
-"""Exact Laurent-series and integer-polynomial arithmetic.
+"""Exact Laurent-series arithmetic over Z and Q.
 
 Coefficients live in Z or Q: plain `int` wherever possible, stdlib
 `fractions.Fraction` otherwise.  Every operation is pure; series objects are
 immutable after construction.
 
 A truncated series knows its coefficients for exponents
-`valuation <= l < order`.  Exactly-known series (polynomials, q-integers)
-carry `order = INF`.  The zero series is canonicalized to an empty
-coefficient window with `valuation == order`.
+`valuation <= l < order`.  Exactly-known series carry `order = INF`: they
+are the Laurent polynomials (q-integers, the polynomials of the quadratic
+equations), stored without leading or trailing zeros, so equal ones compare
+and hash equal.  The zero series is canonicalized to an empty coefficient
+window with `valuation == order`.
 """
 
 from __future__ import annotations
@@ -59,7 +61,12 @@ class LaurentSeries:
             order = int(order)
             if order - valuation != len(cs):
                 raise ValueError("coefficient window does not match order")
-        # strip known-zero leading terms; trailing zeros are genuine data
+        else:
+            # an exact series ends at its last nonzero term
+            while cs and cs[-1] == 0:
+                cs.pop()
+        # strip known-zero leading terms; trailing zeros of a truncated
+        # series are genuine data
         i = 0
         while i < len(cs) and cs[i] == 0:
             i += 1
@@ -239,10 +246,6 @@ def monomial(c, k: int) -> LaurentSeries:
     return LaurentSeries(k, [c], INF)
 
 
-def series_add(a: LaurentSeries, b: LaurentSeries) -> LaurentSeries:
-    return a + b
-
-
 def series_mul(a: LaurentSeries, b: LaurentSeries) -> LaurentSeries:
     return a * b
 
@@ -296,8 +299,9 @@ def series_inverse(a: LaurentSeries, target_order: int) -> LaurentSeries:
 def series_div(num: LaurentSeries, den: LaurentSeries, target_order: int) -> LaurentSeries:
     """num / den known modulo q^min(target_order, num.order - val(den)).
 
-    Takes target_order + val(den) - val(num) known coefficients of den's
-    unit part den / q^val(den); an exact den is never padded.
+    Takes min(target_order + val(den), num.order) - val(num) known
+    coefficients of den's unit part den / q^val(den); an exact den is never
+    padded.
     """
     if den.is_zero:
         raise ZeroSeries("cannot divide by a series with no nonzero known coefficient")
@@ -308,13 +312,13 @@ def series_div(num: LaurentSeries, den: LaurentSeries, target_order: int) -> Lau
     t = target_order + vd - vn
     if t < 1:
         return zero(target_order)
-    if den.order - vd < t:
-        raise InsufficientOrder(
-            f"need {t} known coefficients of the unit part, have {den.order - vd}"
-        )
     m = min(t, num.order - vn)
+    if den.order - vd < m:
+        raise InsufficientOrder(
+            f"need {m} known coefficients of the unit part, have {den.order - vd}"
+        )
     return LaurentSeries(
-        vn - vd, _window_div(num.coeffs[:m], den.coeffs[:t], m), vn - vd + m
+        vn - vd, _window_div(num.coeffs[:m], den.coeffs[:m], m), vn - vd + m
     )
 
 
@@ -418,131 +422,30 @@ def from_json(d: dict) -> LaurentSeries:
     )
 
 
-# -- integer polynomials ------------------------------------------------------
 
 
-class IntPolynomial:
-    """Dense integer polynomial, coefficients ascending, no trailing zeros."""
-
-    __slots__ = ("coeffs",)
-
-    def __init__(self, coeffs: Iterable[int]):
-        cs = []
-        for c in coeffs:
-            if type(c) is not int:
-                if isinstance(c, Fraction) and c.denominator == 1:
-                    c = c.numerator
-                elif isinstance(c, int):
-                    c = int(c)
-                else:
-                    raise NonIntegralCoefficient(
-                        f"polynomial coefficient {c!r} is not an integer"
-                    )
-            cs.append(c)
-        while cs and cs[-1] == 0:
-            cs.pop()
-        object.__setattr__(self, "coeffs", tuple(cs))
-
-    def __setattr__(self, name, value):
-        raise AttributeError("IntPolynomial is immutable")
-
-    @property
-    def degree(self):
-        """Degree; -inf for the zero polynomial."""
-        return len(self.coeffs) - 1 if self.coeffs else -INF
-
-    @property
-    def is_zero(self) -> bool:
-        return not self.coeffs
-
-    def __getitem__(self, i: int) -> int:
-        return self.coeffs[i] if 0 <= i < len(self.coeffs) else 0
-
-    def __eq__(self, other):
-        if not isinstance(other, IntPolynomial):
-            return NotImplemented
-        return self.coeffs == other.coeffs
-
-    def __hash__(self):
-        return hash(self.coeffs)
-
-    def __neg__(self):
-        return IntPolynomial([-c for c in self.coeffs])
-
-    def __add__(self, other):
-        if isinstance(other, int):
-            other = IntPolynomial([other])
-        if not isinstance(other, IntPolynomial):
-            return NotImplemented
-        n = max(len(self.coeffs), len(other.coeffs))
-        return IntPolynomial([self[i] + other[i] for i in range(n)])
-
-    __radd__ = __add__
-
-    def __sub__(self, other):
-        if isinstance(other, int):
-            other = IntPolynomial([other])
-        if not isinstance(other, IntPolynomial):
-            return NotImplemented
-        return self + (-other)
-
-    def __rsub__(self, other):
-        return (-self) + other
-
-    def __mul__(self, other):
-        if isinstance(other, int):
-            return IntPolynomial([other * c for c in self.coeffs])
-        if not isinstance(other, IntPolynomial):
-            return NotImplemented
-        a, b = self.coeffs, other.coeffs
-        return IntPolynomial(_convolve(a, b, len(a) + len(b) - 1))
-
-    __rmul__ = __mul__
-
-    def derivative(self) -> "IntPolynomial":
-        return IntPolynomial([i * c for i, c in enumerate(self.coeffs)][1:])
-
-    def reversal(self, d: int | None = None) -> "IntPolynomial":
-        """q^d * p(1/q); d defaults to deg(p)."""
-        if self.is_zero:
-            return self
-        if d is None:
-            d = len(self.coeffs) - 1
-        if d < len(self.coeffs) - 1:
-            raise ValueError("reversal degree below polynomial degree")
-        padded = list(self.coeffs) + [0] * (d + 1 - len(self.coeffs))
-        return IntPolynomial(padded[::-1])
-
-    def is_palindromic(self) -> bool:
-        return not self.is_zero and self.coeffs == self.coeffs[::-1]
-
-    def __call__(self, x):
-        """Horner evaluation; works for int, Fraction, float, complex, mpmath."""
-        acc = 0 * x  # keep the caller's numeric type
-        for c in reversed(self.coeffs):
-            acc = acc * x + c
-        return acc
-
-    def to_series(self, order=INF) -> LaurentSeries:
-        return LaurentSeries(0, list(self.coeffs), INF).truncate(order)
-
-    def content(self) -> int:
-        return math.gcd(*(abs(c) for c in self.coeffs)) if self.coeffs else 0
-
-    def primitive(self) -> "IntPolynomial":
-        c = self.content()
-        return IntPolynomial([x // c for x in self.coeffs]) if c > 1 else self
-
-    def __repr__(self):
-        return f"IntPolynomial({format_q(self.to_series())!r})"
+# -- exact series as Laurent polynomials over Z -------------------------------
 
 
-def poly_eval_complex(p: IntPolynomial, z):
-    """Horner evaluation of an integer polynomial at a complex point."""
-    return p(z)
+def assert_polynomial(s: LaurentSeries, context: str = "series") -> LaurentSeries:
+    """s itself when it is a polynomial in Z[q]: exact, integral, valuation >= 0."""
+    if s.order != INF or s.valuation < 0:
+        raise ValueError(f"{context}: {format_q(s)} is not a polynomial in q")
+    return assert_integral(s, context)
 
 
-# -- polynomial gcd over Z[q] (via Q[q] Euclid, then primitive part) ----------
+def poly_coeffs(s: LaurentSeries) -> list:
+    """Dense coefficients of a polynomial in Z[q], from q^0 through its degree."""
+    return assert_polynomial(s, "poly_coeffs").coefficients(0, s._content_end())
+
+
+def reversal(s: LaurentSeries, d: int) -> LaurentSeries:
+    """q^d s(1/q) of an exact series."""
+    if s.order != INF:
+        raise ValueError("reversal needs an exact series")
+    if s.is_zero:
+        return s
+    return LaurentSeries(d + 1 - s._content_end(), s.coeffs[::-1])
 
 
 def _frac_divmod(a: list, b: list) -> tuple[list, list]:
@@ -561,28 +464,28 @@ def _frac_divmod(a: list, b: list) -> tuple[list, list]:
     return q, a
 
 
-def poly_gcd(p: IntPolynomial, r: IntPolynomial) -> IntPolynomial:
-    """gcd over Z[q]: primitive gcd times gcd of contents, positive leading
-    coefficient."""
-    if p.is_zero:
-        return r if r.is_zero or r.coeffs[-1] > 0 else -r
-    if r.is_zero:
-        return p if p.coeffs[-1] > 0 else -p
+def poly_gcd(p: LaurentSeries, r: LaurentSeries) -> LaurentSeries:
+    """gcd of two exact integral series: q^min(valuations) times the gcd in
+    Z[q] of their parts p / q^val(p) and r / q^val(r), that is the primitive
+    gcd over Q[q] times the gcd of the contents, leading coefficient > 0."""
+    if p.is_zero or r.is_zero:
+        g = r if p.is_zero else p
+        return -g if g and g.coeffs[-1] < 0 else g
     a = [Fraction(c) for c in p.coeffs]
     b = [Fraction(c) for c in r.coeffs]
     while b:
         _, rem = _frac_divmod(a, b)
         a, b = b, rem
     den = math.lcm(*(c.denominator for c in a))
-    g = IntPolynomial([int(c * den) for c in a]).primitive()
-    if g.coeffs[-1] < 0:
-        g = -g
-    cont = math.gcd(p.content(), r.content())
-    return g * cont if cont > 1 else g
+    g = [int(c * den) for c in a]
+    prim = math.gcd(*g) if g[-1] > 0 else -math.gcd(*g)
+    cont = math.gcd(math.gcd(*p.coeffs), math.gcd(*r.coeffs))
+    return LaurentSeries(min(p.valuation, r.valuation), [c // prim * cont for c in g])
 
 
-def poly_divexact(p: IntPolynomial, d: IntPolynomial) -> IntPolynomial:
-    """Exact division in Z[q]; raises NonExactDivision on failure."""
+def poly_divexact(p: LaurentSeries, d: LaurentSeries) -> LaurentSeries:
+    """Exact division of exact integral series in Z[q, 1/q]; raises
+    NonExactDivision on failure."""
     if d.is_zero:
         raise ZeroDivisionError("division by zero polynomial")
     if p.is_zero:
@@ -591,9 +494,6 @@ def poly_divexact(p: IntPolynomial, d: IntPolynomial) -> IntPolynomial:
                           [Fraction(c) for c in d.coeffs])
     if rem:
         raise NonExactDivision("polynomial division left a remainder")
-    out = []
-    for c in q:
-        if c.denominator != 1:
-            raise NonExactDivision("polynomial quotient is not integral")
-        out.append(int(c))
-    return IntPolynomial(out)
+    if any(c.denominator != 1 for c in q):
+        raise NonExactDivision("polynomial quotient is not integral")
+    return LaurentSeries(p.valuation - d.valuation, q)

@@ -20,6 +20,14 @@ from qmetallic.errors import MultipleRoot, NoConvergence
 from qmetallic.metallic import kappa_values, poly_Q
 
 
+def test_horner2_at_a_complex_point():
+    # 1 + q^2 and its derivative 2q at q = i
+    assert asymptotics._horner2([1, 0, 1], 1j) == (0, 2j)
+    with workprec(200):
+        p, dp = asymptotics._horner2([1, 0, 1], mpc(0, 1))
+        assert p == 0 and dp == mpc(0, 2)
+
+
 def test_all_roots_cubic():
     # (1-q)(2-q)(3-q) = 6 - 11q + 6q^2 - q^3
     roots = all_roots([6, -11, 6, -1], 192)

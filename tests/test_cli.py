@@ -117,9 +117,11 @@ def test_unwritable_out_dir_exits_2(capsys, tmp_path):
 
 
 def test_bad_cf_exits_2(capsys):
-    code, _, err = run(capsys, "quantize", "--cf", "x")
-    assert code == 2
-    assert err.startswith("quantize: ") and err.count("\n") == 1
+    # an empty entry or period is rejected, not dropped
+    for cf in ("x", "1;()*", "1;2,,3", "1;,2", "2;(1,,2)*"):
+        code, out, err = run(capsys, "quantize", "--cf", cf)
+        assert code == 2 and out == "", cf
+        assert err.startswith("quantize: ") and err.count("\n") == 1
 
 
 def test_unknown_subcommand_exits_2(capsys):

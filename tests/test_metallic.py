@@ -2,7 +2,7 @@
 
 import pytest
 
-from qmetallic.series import IntPolynomial, LaurentSeries
+from qmetallic.series import LaurentSeries, monomial, poly_coeffs, reversal
 from qmetallic.qnum import q_integer
 from qmetallic.metallic import (
     ENGINE_TAGS,
@@ -36,27 +36,27 @@ GOLDEN_KAPPA = [1, 0, 1, -1, 2, -4, 8, -17, 37, -82]
 def test_poly_R_formula():
     # R_n = q[n]_q + (q^n + 1)(q - 1)
     for n in range(1, 11):
-        lhs = poly_R(n).to_series()
         qn = q_integer(n).shift(1)
-        edge = (IntPolynomial([0] * n + [1]) + 1) * IntPolynomial([-1, 1])
-        assert lhs == qn + edge.to_series()
+        edge = (monomial(1, n) + 1) * LaurentSeries(0, [-1, 1])
+        assert poly_R(n) == qn + edge
 
 
 def test_poly_P_is_R_squared_plus_4q():
     for n in range(1, 11):
-        assert poly_P(n) == poly_R(n) * poly_R(n) + IntPolynomial([0, 4])
+        assert poly_P(n) == poly_R(n) * poly_R(n) + monomial(4, 1)
 
 
 def test_poly_P_factors_through_Q():
     for n in range(1, 11):
-        assert poly_P(n) == IntPolynomial([1, -1, 1]) * poly_Q(n)
+        assert poly_P(n) == LaurentSeries(0, [1, -1, 1]) * poly_Q(n)
 
 
 def test_poly_degrees_and_palindromes():
     for n in range(1, 11):
-        assert poly_R(n).degree == n + 1
-        assert poly_P(n).degree == 2 * n + 2 and poly_P(n).is_palindromic()
-        assert poly_Q(n).degree == 2 * n and poly_Q(n).is_palindromic()
+        assert len(poly_coeffs(poly_R(n))) == n + 2
+        P, Q = poly_P(n), poly_Q(n)
+        assert len(poly_coeffs(P)) == 2 * n + 3 and reversal(P, 2 * n + 2) == P
+        assert len(poly_coeffs(Q)) == 2 * n + 1 and reversal(Q, 2 * n) == Q
 
 
 def test_small_Q_values():

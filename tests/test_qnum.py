@@ -3,14 +3,16 @@ quadratic irrationals, and the projective group actions."""
 
 import json
 import os
+from fractions import Fraction
 
 import pytest
 
-from qmetallic.series import INF, IntPolynomial, LaurentSeries
-from qmetallic.errors import BranchMismatch
+from qmetallic.series import INF, LaurentSeries, monomial, poly_coeffs, reversal
+from qmetallic.errors import BranchMismatch, NonIntegralCoefficient
 from qmetallic.metallic import phi_series, poly_P, poly_R
 from qmetallic.qnum import (
     PeriodicCF,
+    QRational,
     QuadraticForm,
     cf_to_text,
     negate,
@@ -61,6 +63,10 @@ def test_parse_rejects_garbage():
         parse_cf(";1,2")
     with pytest.raises(ValueError):
         parse_cf("2;(1,2")
+    # an empty entry or period is an error, not silently dropped
+    for text in ("1;()*", "1;2,,3", "1;,2", "2;(1,,2)*"):
+        with pytest.raises(ValueError):
+            parse_cf(text)
 
 
 def test_entry_periodic_continuation():
@@ -122,39 +128,68 @@ def _golden_forms():
 def test_quantize_golden_ratio_form():
     doc = _golden_forms()["phi1"]
     form = quantize_quadratic(parse_cf(doc["cf"]))
-    assert list(form.R.coeffs) == doc["R"]
-    assert list(form.P.coeffs) == doc["P"]
-    assert list(form.S.coeffs) == doc["S"]
+    assert poly_coeffs(form.R) == doc["R"]
+    assert poly_coeffs(form.P) == doc["P"]
+    assert poly_coeffs(form.S) == doc["S"]
     assert form.sign == doc["sign"]
     # P = R^2 + 4q for the metallic family
-    assert form.P == form.R * form.R + IntPolynomial([0, 4])
-    assert form.P.is_palindromic()
+    assert form.P == form.R * form.R + monomial(4, 1)
+    assert reversal(form.P, len(doc["P"]) - 1) == form.P
 
 
 def test_quantize_sqrt7_form():
     doc = _golden_forms()["sqrt7"]
     form = quantize_quadratic(parse_cf(doc["cf"]))
-    assert list(form.R.coeffs) == doc["R"]
-    assert list(form.P.coeffs) == doc["P"]
-    assert list(form.S.coeffs) == doc["S"]
-    assert form.P.is_palindromic()
+    assert poly_coeffs(form.R) == doc["R"]
+    assert poly_coeffs(form.P) == doc["P"]
+    assert poly_coeffs(form.S) == doc["S"]
+    assert reversal(form.P, len(doc["P"]) - 1) == form.P
 
 
 def test_quadratic_form_series_matches_direct_deformation():
     doc = _golden_forms()["phi1"]
-    form = QuadraticForm(IntPolynomial(doc["R"]), IntPolynomial(doc["P"]),
-                         IntPolynomial(doc["S"]), doc["sign"])
+    form = QuadraticForm(LaurentSeries(0, doc["R"]), LaurentSeries(0, doc["P"]),
+                         LaurentSeries(0, doc["S"]), doc["sign"])
     assert form.to_series(14).first_mismatch(phi_series(1, 14)) is None
 
 
 def test_sqrt_disc_branch_errors():
-    one = IntPolynomial([1])
-    odd = QuadraticForm(one, IntPolynomial([0, 1]), one, 1)
+    one = monomial(1, 0)
+    odd = QuadraticForm(one, monomial(1, 1), one, 1)
     with pytest.raises(BranchMismatch):
         odd.sqrt_disc(4)
-    nonsq = QuadraticForm(one, IntPolynomial([2]), one, 1)
+    nonsq = QuadraticForm(one, monomial(2, 0), one, 1)
     with pytest.raises(BranchMismatch):
         nonsq.sqrt_disc(4)
+
+
+def test_forms_hold_only_polynomials():
+    one = monomial(1, 0)
+    for bad in (monomial(1, -1), LaurentSeries(0, [1, 1], 2),
+                monomial(Fraction(1, 2), 0)):
+        with pytest.raises((ValueError, NonIntegralCoefficient)):
+            QuadraticForm(bad, one, one, 1)
+        with pytest.raises((ValueError, NonIntegralCoefficient)):
+            QRational(bad, one)
+    with pytest.raises(ValueError):
+        QuadraticForm(one, one, LaurentSeries(0, []), 1)
+
+
+def test_sqrt_disc_takes_the_root_only_as_far_as_needed(monkeypatch):
+    from qmetallic import metallic, qnum
+
+    orders = []
+    real = qnum.series_sqrt
+
+    def spy(a, target_order):
+        orders.append(target_order)
+        return real(a, target_order)
+
+    monkeypatch.setattr(qnum, "series_sqrt", spy)
+    for n, L in ((1, 30), (4, 120)):
+        orders.clear()
+        assert metallic.phi_series_sqrt(n, L) == phi_series(n, L)
+        assert orders == [L + 1]
 
 
 def test_truncated_deformation_matches_fixture():
@@ -229,5 +264,5 @@ def test_quadratic_form_matches_truncated_deformation(a0):
 def test_metallic_forms_through_qnum(n):
     form = quantize_quadratic(parse_cf(f"{n};({n})*"))
     assert form.R == poly_R(n) and form.P == poly_P(n)
-    assert list(form.S.coeffs) == [0, 2] and form.sign == 1
+    assert poly_coeffs(form.S) == [0, 2] and form.sign == 1
     assert form.to_series(60) == phi_series(n, 60)

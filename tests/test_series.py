@@ -1,4 +1,4 @@
-"""Unit tests for the exact Laurent-series and integer-polynomial core."""
+"""Unit tests for the exact Laurent-series core, polynomials included."""
 
 import random
 from fractions import Fraction
@@ -7,14 +7,14 @@ import pytest
 
 from qmetallic.series import (
     INF,
-    IntPolynomial,
     LaurentSeries,
     constant,
     from_json,
     monomial,
+    poly_coeffs,
     poly_divexact,
-    poly_eval_complex,
     poly_gcd,
+    reversal,
     series_div,
     series_inverse,
     series_mul,
@@ -27,6 +27,7 @@ from qmetallic.errors import (
     BadConstantTerm,
     InsufficientOrder,
     NonExactDivision,
+    NonIntegralCoefficient,
     ZeroSeries,
 )
 
@@ -233,7 +234,13 @@ def test_div_of_zero_numerator():
 def test_div_insufficient_order():
     with pytest.raises(InsufficientOrder,
                        match="need 10 known coefficients of the unit part, have 3"):
-        series_div(L(1, [1, 2], 3), L(1, [1, 1, 0], 4), 10)
+        series_div(L(1, [1, 2]), L(1, [1, 1, 0], 4), 10)
+
+
+def test_div_needs_only_what_the_numerator_determines():
+    # num is known modulo q^2, so two coefficients of den suffice
+    r = series_div(L(0, [1, 2], 2), L(0, [1, 1], 2), 10)
+    assert r == L(0, [1, 1], 2)
 
 
 def test_div_by_exact_cubic_is_not_padded(monkeypatch):
@@ -305,49 +312,65 @@ def test_randomized_ring_axioms():
         assert series_mul(a, b).first_mismatch(series_mul(b, a)) is None
 
 
-# -- integer polynomials ------------------------------------------------------------
+# -- polynomials as exact series -----------------------------------------------------
 
 
 def test_poly_basics():
-    p = IntPolynomial([1, 2, 3])
-    assert p.degree == 2
-    assert p(1) == 6 and p(-1) == 2
-    assert (p + p)(2) == 2 * p(2)
-    assert (p * p).degree == 4
+    p = L(0, [1, 2, 3])
+    assert poly_coeffs(p) == [1, 2, 3]
+    assert poly_coeffs(p + p) == [2, 4, 6]
+    assert poly_coeffs(p * p) == [1, 4, 10, 12, 9]
+    assert poly_coeffs(p.derivative()) == [2, 6]
 
 
 def test_poly_trailing_zeros():
-    p = IntPolynomial([1, 0, 0])
-    assert p.degree == 0
-    assert IntPolynomial([]).degree == -INF
+    p = L(0, [1, 0, 0])
+    assert p.coeffs == (1,) and p == constant(1)
+    assert poly_coeffs(L(0, [])) == [] and L(0, [0, 0]) == zero()
+
+
+def test_exact_series_are_canonical():
+    s = constant(1) + monomial(1, 1) - monomial(1, 1)
+    assert s.coeffs == (1,)
+    assert s == constant(1) and hash(s) == hash(constant(1))
+    assert L(-1, [0, 2, 0]) == monomial(2, 0)
+    # a truncated series keeps its known zeros
+    assert L(0, [1, 0], 2).coeffs == (1, 0)
 
 
 def test_reversal_pads_then_reverses():
-    p = IntPolynomial([1, 2])
-    assert list(p.reversal(3).coeffs) == [0, 0, 2, 1]
+    p = L(0, [1, 2])
+    assert poly_coeffs(reversal(p, 3)) == [0, 0, 2, 1]
+    assert reversal(L(-1, [1, 2]), 0) == L(0, [2, 1])  # q^-1 + 2 -> q + 2
+    with pytest.raises(ValueError):
+        reversal(L(0, [1, 2], 2), 3)
 
 
 def test_palindromic():
-    assert IntPolynomial([1, 3, 1]).is_palindromic()
-    assert not IntPolynomial([1, 3, 2]).is_palindromic()
+    assert reversal(L(0, [1, 3, 1]), 2) == L(0, [1, 3, 1])
+    assert reversal(L(0, [1, 3, 2]), 2) != L(0, [1, 3, 2])
 
 
 def test_poly_to_series():
-    s = IntPolynomial([1, 0, 5]).to_series()
-    assert s == L(0, [1, 0, 5])
+    # the dense view from q^0 reads a polynomial back
+    assert poly_coeffs(L(0, [1, 0, 5])) == [1, 0, 5]
+    assert poly_coeffs(monomial(2, 1)) == [0, 2]
+    for bad in (L(-1, [1]), L(0, [1, 0, 5], 3), L(0, [Fraction(1, 2)])):
+        with pytest.raises((ValueError, NonIntegralCoefficient)):
+            poly_coeffs(bad)
 
 
 def test_poly_gcd_and_divexact():
-    a = IntPolynomial([1, 1])          # 1+q
-    b = IntPolynomial([1, 2, 1])       # (1+q)^2
+    a = L(0, [1, 1])          # 1+q
+    b = L(0, [1, 2, 1])       # (1+q)^2
     g = poly_gcd(a * b, b)
-    assert list(g.primitive().coeffs) == [1, 2, 1]
+    assert poly_coeffs(g) == [1, 2, 1]
+    assert poly_gcd(a * 6, b * -4) == a * 2
+    assert poly_gcd(a.shift(2), b.shift(-1)) == a.shift(-1)
     q = poly_divexact(b, a)
-    assert list(q.coeffs) == [1, 1]
+    assert poly_coeffs(q) == [1, 1]
+    assert poly_divexact(b, a.shift(1)) == a.shift(-1)
     with pytest.raises(NonExactDivision):
-        poly_divexact(IntPolynomial([1, 0, 1]), a)
-
-
-def test_poly_eval_complex():
-    v = poly_eval_complex(IntPolynomial([1, 0, 1]), 1j)
-    assert abs(v) < 1e-15
+        poly_divexact(L(0, [1, 0, 1]), a)
+    with pytest.raises(NonExactDivision):
+        poly_divexact(a, L(0, [2]))
