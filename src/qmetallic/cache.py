@@ -4,7 +4,9 @@ Cache files are the series exchange JSON plus bookkeeping: a format
 version (bumping it invalidates every cache) and a sha256 integrity
 hash over the canonical payload.  Writes are create-then-rename so
 concurrent writers never interleave partial files.  Loads re-verify the
-hash and the structural prefix invariant before trusting disk data.
+hash, that every value is canonical decimal text, and the structural
+prefix invariant before trusting disk data.  A loaded table keeps that
+text, so printing it converts nothing; its ints are parsed only if asked.
 
 A RunManifest records enough to reproduce a CLI experiment: command,
 parameters (precision bits included), package version, UTC timestamp,
@@ -15,6 +17,7 @@ decimal strings, so reruns with equal parameters are byte-identical.
 import hashlib
 import json
 import os
+import re
 import tempfile
 from dataclasses import dataclass, field
 from datetime import datetime, timezone
@@ -26,6 +29,8 @@ from .metallic import (ENGINE_TAGS, CoeffTable, _check_n,
 FORMAT_VERSION = 2
 ENV_CACHE_DIR = "QMETALLIC_CACHE_DIR"
 ARTIFACT_VERSION = "0.1.0"
+# exactly the strings str(int) gives: no sign on 0, no leading zeros
+_CANONICAL_INT = re.compile(r"0|-?[1-9][0-9]*")
 
 
 def cache_directory(explicit=None) -> str:
@@ -69,13 +74,13 @@ def atomic_write_text(path: str, text: str) -> None:
 def cache_store(key, table: CoeffTable, cache_dir=None) -> str:
     """Persist a coefficient table under (n, engine); returns the path."""
     n, engine = key
-    assert table.n == n and len(table.values) == table.upto
+    assert table.n == n and len(table.text) == table.upto
     payload = {
         "format_version": FORMAT_VERSION,
         "n": n,
         "engine": engine,
         "upto": table.upto,
-        "values": [str(v) for v in table.values],
+        "values": list(table.text),
     }
     payload["sha256"] = _payload_hash(
         {k: v for k, v in payload.items() if k != "sha256"})
@@ -106,9 +111,10 @@ def cache_load(key, cache_dir=None) -> CoeffTable:
     if payload.get("n") != n or payload.get("engine") != engine:
         raise CacheCorrupt(f"{path}: key mismatch")
     try:
-        values = [int(t) for t in payload["values"]]
-        table = CoeffTable(n=n, upto=int(payload["upto"]), values=tuple(values),
-                           engine=engine)
+        text = payload["values"]
+        if type(text) is not list or not all(map(_CANONICAL_INT.fullmatch, text)):
+            raise ValueError("values are not a list of canonical decimal integers")
+        table = CoeffTable(n, int(payload["upto"]), None, engine, text=text)
     except (KeyError, ValueError, TypeError, AssertionError) as exc:
         raise CacheCorrupt(f"{path}: structural invariant violated ({exc})") from exc
     return table
@@ -126,9 +132,7 @@ def cached_table(n: int, L: int, engine: str = "precurrence",
     except (FileNotFoundError, CacheCorrupt):
         table = None  # recompute, then overwrite a bad file
     if table is not None and table.upto >= L:
-        if table.upto == L:
-            return table
-        return CoeffTable(n=n, upto=L, values=table.values[:L], engine=tag)
+        return table.truncate(L)
     out = table_engine(tag)(n, L)
     cache_store(key, out, cache_dir)
     return out

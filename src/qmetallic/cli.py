@@ -13,7 +13,6 @@ import argparse
 import json
 import os
 import sys
-from concurrent.futures import ProcessPoolExecutor
 
 from mpmath import mp
 
@@ -40,24 +39,19 @@ def _fail(message: str, code: int = 2) -> int:
     return code
 
 
-def _emit_series(series, fmt: str) -> None:
-    if fmt == "json":
-        _out(json.dumps(series_to_json(series), indent=1))
-    else:
-        lines = ["l,kappa"]
-        lines += [f"{series.valuation + i},{c}"
-                  for i, c in enumerate(series.coefficients(
-                      series.valuation, int(series.order)))]
-        _out("\n".join(lines))
-
-
 def cmd_coeffs(args) -> int:
     tag = canonical_engine_tag(args.engine)
     if tag == "closedform" and args.n > 3:
         return _fail("coeffs: engine 'closed' requires n <= 3 "
                      "(closed-form sums exist for the first three indices only)")
     table = cached_table(args.n, args.L, tag, args.cache_dir)
-    _emit_series(table.to_series(), args.format)
+    # the series exchange form: every table starts at q^0 with kappa_0 = 1
+    if args.format == "json":
+        _out(json.dumps({"valuation": 0, "order": table.upto,
+                         "coeffs": list(table.text)}, indent=1))
+    else:
+        _out("\n".join(["l,kappa"] + [f"{l},{c}"
+                                      for l, c in enumerate(table.text)]))
     return 0
 
 
@@ -273,6 +267,8 @@ def cmd_logconv(args) -> int:
         tasks = [(n, args.lmax) for n in range(lo, hi + 1)]
         workers = min(args.jobs, len(tasks))
         if workers > 1:
+            from concurrent.futures import ProcessPoolExecutor
+
             with ProcessPoolExecutor(max_workers=workers) as pool:
                 rows = list(pool.map(_classify_row, tasks))
         else:

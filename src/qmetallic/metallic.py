@@ -68,26 +68,55 @@ def poly_P(n: int) -> LaurentSeries:
 # -- coefficient tables ---------------------------------------------------------
 
 
-@dataclass(frozen=True)
 class CoeffTable:
-    """First `upto` series coefficients (exponents 0..upto-1) for index n."""
+    """First `upto` series coefficients (exponents 0..upto-1) for index n.
 
-    n: int
-    upto: int
-    values: tuple
-    engine: str
+    The coefficients are held as ints (`values`), as decimal text (`text`,
+    canonical: what str gives), or both.  An engine builds a table from
+    ints and the cache from text; the missing form is made once, on first
+    use, so a table that is both cached and printed is converted once and a
+    cached table is printed as read.
+    """
 
-    def __post_init__(self):
-        if self.engine not in ENGINE_TAGS:
-            raise ValueError(f"unknown engine tag {self.engine!r}")
-        if len(self.values) != self.upto:
+    __slots__ = ("n", "upto", "engine", "_values", "_text")
+
+    def __init__(self, n: int, upto: int, values, engine: str, text=None):
+        if engine not in ENGINE_TAGS:
+            raise ValueError(f"unknown engine tag {engine!r}")
+        held = text if values is None else values
+        if len(held) != upto:
             raise ValueError("length does not match upto")
-        n = self.n
-        head = self.values[: n + 1]
-        if head != tuple([1] * min(n, self.upto) + ([0] if self.upto > n else [])):
+        head = [int(c) for c in held[: 2 * n + 1]]
+        if head[: n + 1] != [1] * min(n, upto) + ([0] if upto > n else []):
             raise ValueError("series must start with n ones then a zero")
-        if self.upto > 2 * n and self.values[2 * n] != 1:
+        if upto > 2 * n and head[2 * n] != 1:
             raise ValueError("coefficient at exponent 2n must be 1")
+        self.n, self.upto, self.engine = n, upto, engine
+        self._values = None if values is None else tuple(values)
+        self._text = None if text is None else tuple(text)
+
+    @property
+    def values(self) -> tuple:
+        if self._values is None:
+            self._values = tuple(map(int, self._text))
+        return self._values
+
+    @property
+    def text(self) -> tuple:
+        if self._text is None:
+            self._text = tuple(map(str, self._values))
+        return self._text
+
+    def truncate(self, upto: int) -> "CoeffTable":
+        """The first `upto` coefficients, in the forms this table holds."""
+        if upto == self.upto:
+            return self
+
+        def cut(held):
+            return None if held is None else held[:upto]
+
+        return CoeffTable(self.n, upto, cut(self._values), self.engine,
+                          cut(self._text))
 
     def to_series(self) -> LaurentSeries:
         return LaurentSeries(0, list(self.values), self.upto)

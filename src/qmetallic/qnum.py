@@ -106,11 +106,13 @@ def parse_cf(text: str) -> PeriodicCF:
     t = text.strip().replace(" ", "")
     head, _, rest = t.partition(";")
     plain, paren, par = rest.partition("(")
+    entries = [head] + (plain.split(",") if plain else [])
     if paren:
         if not par.endswith(")*"):
             raise ValueError(f"unterminated periodic block in {text!r}")
-        plain = plain[:-1] if plain.endswith(",") else plain
-    entries = [head] + (plain.split(",") if plain else [])
+        # after preperiod entries, the block follows a comma: '1;2,(3)*'
+        if plain and entries.pop():
+            raise ValueError(f"missing comma before the periodic block in {text!r}")
     period = par[:-2].split(",") if paren else []
     if not all(entries) or not all(period):
         raise ValueError(f"empty entry in {text!r}")

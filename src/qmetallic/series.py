@@ -151,8 +151,9 @@ class LaurentSeries:
         if other.is_zero:
             return self.truncate(order)
         lo = min(self.valuation, other.valuation)
-        hi = order if order != INF else max(self._content_end(), other._content_end())
-        cs = [self[l] + other[l] for l in range(lo, int(hi))]
+        hi = int(order) if order != INF else max(self._content_end(), other._content_end())
+        cs = [a + b for a, b in zip(self.coefficients(lo, hi),
+                                    other.coefficients(lo, hi))]
         return LaurentSeries(lo, cs, order)
 
     __radd__ = __add__
@@ -225,7 +226,18 @@ class LaurentSeries:
     # -- views -------------------------------------------------------------
 
     def coefficients(self, lo: int, hi: int) -> list:
-        return [self[l] for l in range(lo, hi)]
+        """Coefficients of q^lo .. q^(hi-1): the stored window, zero-padded;
+        raises InsufficientOrder beyond the known ones."""
+        if hi <= lo:
+            return []
+        if hi > self.order:
+            l = max(lo, self.order)
+            raise InsufficientOrder(f"coefficient q^{l} unknown (order {self.order})")
+        v = self.valuation
+        a, b = max(lo, v), min(hi, self._content_end())
+        if a >= b:
+            return [0] * (hi - lo)
+        return [0] * (a - lo) + list(self.coeffs[a - v:b - v]) + [0] * (hi - b)
 
     def is_integral(self) -> bool:
         return all(type(c) is int for c in self.coeffs)

@@ -6,7 +6,7 @@ import os
 
 import pytest
 
-from qmetallic import cache, metallic
+from qmetallic import cache, cli, metallic
 from qmetallic.cache import (
     ARTIFACT_VERSION,
     ENV_CACHE_DIR,
@@ -206,3 +206,92 @@ def test_run_manifest(tmp_path):
     assert doc["outputs"][0]["path"] == "result.csv"
     assert doc["outputs"][0]["sha256"] == file_sha256(out)
     assert "timestamp" in doc
+
+
+# -- decimal text: canonical on disk, printed as read --------------------------------
+
+
+def _rewrite_values(path, values):
+    """Replace the cached values and re-sign the payload, as a careful
+    tamperer would."""
+    doc = json.load(open(path))
+    doc["values"] = values
+    doc["sha256"] = cache._payload_hash(
+        {k: v for k, v in doc.items() if k != "sha256"})
+    open(path, "w").write(json.dumps(doc, indent=1) + "\n")
+
+
+def _coeffs(capsys, *argv):
+    assert cli.main(["coeffs", *argv]) == 0
+    return capsys.readouterr().out
+
+
+def test_cache_file_bytes_are_pinned(tmp_path):
+    # existing caches stay valid only while the bytes written stay the same
+    cached_table(2, 30, "precurrence", str(tmp_path))
+    assert file_sha256(_entry_path(str(tmp_path), 2)) == (
+        "2e3a0e6d20f165efc8946c28694dbce93b508adf51d4e0e6f4bb00c2d420d29d")
+
+
+@pytest.mark.parametrize("index, text", [
+    (8, "037"), (8, "+37"), (8, " 37"), (8, "3_7"), (8, "٣٧"),
+    (1, "-0"),
+])
+def test_non_canonical_decimal_text_is_corrupt(tmp_path, capsys, index, text):
+    # int() takes each of these, so only the canonical-text check sees them
+    d = str(tmp_path)
+    args = ("--n", "1", "--L", "20", "--cache-dir", d)
+    cold = _coeffs(capsys, *args)
+    good = open(_entry_path(d)).read()
+    values = [str(v) for v in kappa_values(1, 20)]
+    assert int(text) == int(values[index])
+    values[index] = text
+    _rewrite_values(_entry_path(d), values)
+    with pytest.raises(CacheCorrupt, match="canonical"):
+        cache_load((1, "precurrence"), d)
+    assert _coeffs(capsys, *args) == cold
+    assert open(_entry_path(d)).read() == good
+
+
+@pytest.mark.parametrize("values", ["1101", {"0": "1"}, [1, 1, 0], None])
+def test_values_must_be_a_list_of_strings(tmp_path, values):
+    d = str(tmp_path)
+    cache_store((1, "precurrence"), coeffs_p_recurrence(1, 4), d)
+    _rewrite_values(_entry_path(d), values)
+    with pytest.raises(CacheCorrupt):
+        cache_load((1, "precurrence"), d)
+
+
+def test_loaded_table_holds_text_until_ints_are_asked_for(tmp_path):
+    d = str(tmp_path)
+    cache_store((3, "precurrence"), coeffs_p_recurrence(3, 40), d)
+    t = cache_load((3, "precurrence"), d)
+    assert t._values is None
+    assert t.text == tuple(str(v) for v in kappa_values(3, 40))
+    assert t.values == tuple(kappa_values(3, 40))
+
+
+@pytest.mark.parametrize("n", [1, 3])
+@pytest.mark.parametrize("fmt", ["json", "csv"])
+def test_warm_coeffs_equal_cold_byte_for_byte(tmp_path, capsys, monkeypatch,
+                                              n, fmt):
+    lengths = (0, 1, n, 30)
+    cold = {}
+    for L in lengths:
+        d = str(tmp_path / f"cold{L}")
+        cold[L] = _coeffs(capsys, "--n", str(n), "--L", str(L),
+                          "--format", fmt, "--cache-dir", d)
+        assert os.path.exists(_entry_path(d, n))
+    longer = str(tmp_path / "longer")
+    _coeffs(capsys, "--n", str(n), "--L", "45", "--cache-dir", longer)
+
+    def refuse(tag):
+        raise AssertionError(f"engine {tag!r} ran on a cache hit")
+
+    monkeypatch.setattr(cache, "table_engine", refuse)
+    for L in lengths:
+        for d in (str(tmp_path / f"cold{L}"), longer):  # exact, then cut
+            warm = _coeffs(capsys, "--n", str(n), "--L", str(L),
+                           "--format", fmt, "--cache-dir", d)
+            assert warm == cold[L], (L, d)
+    assert json.load(open(_entry_path(longer, n)))["upto"] == 45

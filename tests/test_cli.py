@@ -1,5 +1,6 @@
 """End-to-end tests of the command-line interface via main(argv)."""
 
+import concurrent.futures
 import functools
 import json
 import os
@@ -118,10 +119,17 @@ def test_unwritable_out_dir_exits_2(capsys, tmp_path):
 
 def test_bad_cf_exits_2(capsys):
     # an empty entry or period is rejected, not dropped
-    for cf in ("x", "1;()*", "1;2,,3", "1;,2", "2;(1,,2)*"):
+    for cf in ("x", "1;()*", "1;2,,3", "1;,2", "2;(1,,2)*", "1;,(3)*"):
         code, out, err = run(capsys, "quantize", "--cf", cf)
         assert code == 2 and out == "", cf
         assert err.startswith("quantize: ") and err.count("\n") == 1
+
+
+def test_periodic_block_without_comma_exits_2(capsys):
+    code, out, err = run(capsys, "quantize", "--cf", "1;2(3)*")
+    assert code == 2 and out == ""
+    assert err == ("quantize: missing comma before the periodic block "
+                   "in '1;2(3)*'\n")
 
 
 def test_unknown_subcommand_exits_2(capsys):
@@ -394,7 +402,7 @@ def test_jobs_bounded_by_task_count(capsys, monkeypatch):
         def map(self, fn, items):
             return map(fn, items)
 
-    monkeypatch.setattr(cli, "ProcessPoolExecutor", SerialPool)
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", SerialPool)
     code, out, _ = run(capsys, "--jobs", "64", "logconv",
                        "--n-range", "1..2", "--lmax", "40")
     assert code == 0 and workers == [2]
@@ -411,7 +419,7 @@ def test_logconv_range_checks_lmax_before_any_work(capsys, monkeypatch):
     def refuse(*args, **kwargs):
         raise AssertionError("work started before the --lmax check")
 
-    monkeypatch.setattr(cli, "ProcessPoolExecutor", refuse)
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", refuse)
     monkeypatch.setattr(cli, "classify", refuse)
     code, out, err = run(capsys, "--jobs", "2", "logconv",
                          "--n-range", "1..3", "--lmax", "7")

@@ -64,9 +64,14 @@ def test_parse_rejects_garbage():
     with pytest.raises(ValueError):
         parse_cf("2;(1,2")
     # an empty entry or period is an error, not silently dropped
-    for text in ("1;()*", "1;2,,3", "1;,2", "2;(1,,2)*"):
+    for text in ("1;()*", "1;2,,3", "1;,2", "2;(1,,2)*", "1;,(3)*"):
         with pytest.raises(ValueError):
             parse_cf(text)
+    # a periodic block after preperiod entries needs its comma
+    with pytest.raises(ValueError, match="missing comma"):
+        parse_cf("1;2(3)*")
+    assert parse_cf("1;2,(3)*") == PeriodicCF((1, 2), (3,))
+    assert parse_cf("1;(3)*") == PeriodicCF((1,), (3,))
 
 
 def test_entry_periodic_continuation():

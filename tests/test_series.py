@@ -122,6 +122,32 @@ def test_add_orders_min():
     assert (a + b).order == 2
 
 
+def test_add_different_valuations_and_orders():
+    # each operand's window, zero-padded to the shared range, cut at the least order
+    a = L(-2, [3, 0, 1, 4, 5], 3)        # 3q^-2 + 1 + 4q + 5q^2 + O(q^3)
+    b = L(1, [7, -5, 9, 9], 5)           # 7q - 5q^2 + 9q^3 + 9q^4 + O(q^5)
+    s = a + b
+    assert (s.valuation, s.order) == (-2, 3)
+    assert s.coefficients(-2, 3) == [3, 0, 1, 11, 0]
+    assert b + a == s
+    # b starts at or past a's order: only its absence is known there
+    c = L(4, [1, 2], 6)
+    assert a + c == a
+    # exact operands: the sum ends at its last nonzero term
+    p = L(-1, [1, 0, 2]) + L(2, [-1, 6]) + L(1, [-2, 1, -6])
+    assert p == L(-1, [1, 0, 0, 0])
+    assert (p.valuation, p.coeffs, p.order) == (-1, (1,), INF)
+
+
+def test_coefficients_past_the_order():
+    s = L(0, [1, 2], 2)
+    assert s.coefficients(1, 1) == [] and s.coefficients(0, 2) == [1, 2]
+    with pytest.raises(InsufficientOrder, match=r"q\^2 unknown"):
+        s.coefficients(-1, 3)
+    with pytest.raises(InsufficientOrder, match=r"q\^5 unknown"):
+        s.coefficients(5, 6)
+
+
 def test_add_scalar_coercion():
     s = L(0, [1, 2]) + 5
     assert s.coefficients(0, 2) == [6, 2]
