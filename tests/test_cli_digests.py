@@ -50,6 +50,11 @@ COMMANDS = [
     ["coeffs", "--n", "5", "--L", "40", "--engine", "conv"],
     ["quantize", "--cf", "3;7,15,1,292"],
     ["quantize", "--cf=-1;(2)*"],
+    ["identities", "--n", "2", "--order", "80"],
+    ["identities", "--n", "5", "--order", "60"],
+    ["rna", "grid", "--max-size", "40", "--max-rank", "3"],
+    ["rna", "count", "--size", "10", "--format", "csv"],
+    ["quantize", "--cf", "3;(1,2,5)*"],
 ]
 
 
