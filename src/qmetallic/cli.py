@@ -17,16 +17,18 @@ import sys
 from mpmath import mp
 
 from . import asymptotics as asym
-from .cache import RunManifest, atomic_write_text, cache_load, cached_table
+from .cache import (RunManifest, atomic_write_text, cache_load, cache_store,
+                    cached_table)
 from .errors import CacheCorrupt, NotMonomialDenominator, QMetallicError
 from .identities import (check_all, conjugate_onset, conjugate_pair_check,
                          min_order)
 from .logbehaviour import classify, sign_flip_lemma_check
 from .metallic import (ENGINE_TAGS, canonical_engine_tag, hankel,
-                       kappa_values, verify_functional_equation, verify_ode)
+                       kappa_values, table_engine, verify_functional_equation,
+                       verify_ode)
 from .qnum import (cf_to_text, parse_cf, q_rational, quantize_quadratic,
                    rational_value)
-from .rna import count_structures, enumerate_structures, sign_bridge_check
+from .rna import count_grid, enumerate_structures, sign_bridge_check
 from .series import poly_coeffs, to_json as series_to_json
 
 
@@ -64,15 +66,23 @@ def _verify_checks(n: int, L: int, cache_dir):
     yield "ode", bool(ode), {"checked_order": ode.checked_order,
                              "first_failure": ode.first_failure}
 
-    want = kappa_values(n, L)
-    engines_ok, bad = True, None
+    # every engine runs; a table that agreed is cached unless a valid
+    # entry at least as long is there already
+    want = tuple(kappa_values(n, L))
+    bad = None
     for tag in ("conv", "precurrence", "sqrt"):
-        got = list(cached_table(n, L, tag, cache_dir).values)
-        if got != want:
-            engines_ok, bad = False, tag
+        table = table_engine(tag)(n, L)
+        if table.values != want:
+            bad = tag
             break
-    yield "engine_agreement", engines_ok, {"engines": ["conv", "precurrence",
-                                                       "sqrt"], "bad": bad}
+        try:
+            cached = cache_load((n, tag), cache_dir).upto
+        except (FileNotFoundError, CacheCorrupt):
+            cached = -1
+        if cached < L:
+            cache_store((n, tag), table, cache_dir)
+    yield "engine_agreement", bad is None, {"engines": ["conv", "precurrence",
+                                                        "sqrt"], "bad": bad}
 
     bad_ids = [r.identity_id for r in check_all(n, L) if not r.holds]
     yield "identities", not bad_ids, {"failed": bad_ids}
@@ -228,9 +238,7 @@ def cmd_rna(args) -> int:
                              "count": str(c)}, indent=1))
         return 0
     # grid
-    rows = [(l, r, count_structures(l, r))
-            for l in range(1, args.max_size + 1)
-            for r in range(0, args.max_rank + 1)]
+    rows = count_grid(args.max_size, args.max_rank)
     if args.format == "json":
         _out(json.dumps([{"l": l, "rank": r, "count": str(c)}
                          for l, r, c in rows], indent=1))

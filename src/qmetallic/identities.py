@@ -28,7 +28,8 @@ from .qnum import (
     reciprocal,
     shift,
 )
-from .series import INF, LaurentSeries, poly_coeffs, reversal, series_inverse
+from .series import (LaurentSeries, monomial, poly_coeffs, reversal,
+                     series_inverse, zero)
 
 IDENTITY_IDS = (
     "rel1", "rel2", "rel3", "rel4",
@@ -75,25 +76,13 @@ class LaurentFamily:
     neg: LaurentSeries        # [-phi_n]
 
 
-def _series_from_items(items, order) -> LaurentSeries:
-    d: dict = {}
-    for e, c in items:
-        d[e] = d.get(e, 0) + c
-    if not d:
-        return LaurentSeries(order, [], order)
-    lo = min(d)
-    hi = order if order != INF else max(d) + 1
-    return LaurentSeries(lo, [d.get(e, 0) for e in range(lo, int(hi))], order)
-
-
 def alpha_poly(n: int) -> LaurentSeries:
     """Principal part polynomial of [-phi_n]: the case split is
     -q^-2 - q^-1 + 1 (n=1), -q^-3 - 2q^-1 + 1 (n=2), and for n >= 3
     -q^-(n+1) - q^-(n-1) - ... - q^-2 - 2q^-1 + 1."""
     n = _check_n(n)
-    items = [(-(n + 1), -1), (0, 1), (-1, -1 if n == 1 else -2)]
-    items += [(-k, -1) for k in range(2, n)]
-    return _series_from_items(items, INF)
+    # [1 - n]_q = -(q^-1 + ... + q^-(n-1)), zero for n = 1
+    return 1 - monomial(1, -1) - monomial(1, -(n + 1)) + q_integer(1 - n)
 
 
 def laurent_family(n: int, L: int) -> LaurentFamily:
@@ -102,40 +91,27 @@ def laurent_family(n: int, L: int) -> LaurentFamily:
     if L < 2 * n + 2:
         raise ValueError("need L >= 2n + 2")
     kv = kappa_values(n, L + n)
-    phi = phi_series(n, L)
-    recip = _series_from_items(
-        [(n, 1)] + [(j, kv[j + n]) for j in range(n + 1, L)], L
-    )
-    negrecip = _series_from_items(
-        [(-1, -1), (0, 1), (n - 1, -1), (n, 1), (2 * n, -1)]
-        + [(j, -kv[j]) for j in range(2 * n + 1, L)],
-        L,
-    )
+    recip = monomial(1, n) + LaurentSeries(n + 1, kv[2 * n + 1:L + n], L)
+    # -q^-1 + 1 - q^(n-1) + q^n - q^(2n) - sum_{j>2n} kappa_j q^j
+    negrecip = (_edge(n).shift(-1) - monomial(1, 2 * n)
+                - LaurentSeries(2 * n + 1, kv[2 * n + 1:L], L))
     neg = alpha_poly(n) - recip
-    return LaurentFamily(phi=phi, recip=recip, negrecip=negrecip, neg=neg)
+    return LaurentFamily(phi=phi_series(n, L), recip=recip, negrecip=negrecip,
+                         neg=neg)
 
 
 def _inverse_formula(n: int, L: int) -> LaurentSeries:
     """1 - q + q^n - q^(n+1) + q^(2n+1) + sum_{j>=2n+2} kappa_{j-1} q^j."""
     kv = kappa_values(n, L)
-    return _series_from_items(
-        [(0, 1), (1, -1), (n, 1), (n + 1, -1), (2 * n + 1, 1)]
-        + [(j, kv[j - 1]) for j in range(2 * n + 2, L)],
-        L,
-    )
+    return (monomial(1, 2 * n + 1) - _edge(n)
+            + LaurentSeries(2 * n + 2, kv[2 * n + 1:L - 1], L))
 
 
 def _compare(n: int, identity_id: str, lhs: LaurentSeries, rhs: LaurentSeries,
              upto) -> IdentityReport:
     hi = min(lhs.order, rhs.order, upto)
     fm = lhs.first_mismatch(rhs, upto=hi)
-    return IdentityReport(
-        n=n,
-        identity_id=identity_id,
-        checked_order=int(hi),
-        holds=fm is None,
-        first_failure=fm,
-    )
+    return IdentityReport(n, identity_id, int(hi), fm is None, fm)
 
 
 @lru_cache(maxsize=1)
@@ -200,22 +176,12 @@ def mult_inverse_check(n: int, L: int = 300) -> IdentityReport:
 
 
 def _reflection_single(n: int, identity_id: str) -> IdentityReport:
-    R = poly_R(n)
-    P = poly_P(n)
     if identity_id == "reflectR":
-        diff = reversal(R, n + 1) - (R - 2 * _edge(n))
-        width = n + 2
-    else:
-        diff = reversal(P, 2 * n + 2) - P
-        width = 2 * n + 3
-    fail = None if diff.is_zero else diff.valuation
-    return IdentityReport(
-        n=n,
-        identity_id=identity_id,
-        checked_order=width,
-        holds=diff.is_zero,
-        first_failure=fail,
-    )
+        R = poly_R(n)
+        return _compare(n, identity_id, reversal(R, n + 1), R - 2 * _edge(n),
+                        n + 2)
+    P = poly_P(n)
+    return _compare(n, identity_id, reversal(P, 2 * n + 2), P, 2 * n + 3)
 
 
 def reflection_check(n: int) -> IdentityReport:
@@ -224,13 +190,8 @@ def reflection_check(n: int) -> IdentityReport:
     a = _reflection_single(n, "reflectR")
     b = _reflection_single(n, "reflectP")
     fails = [r.first_failure for r in (a, b) if r.first_failure is not None]
-    return IdentityReport(
-        n=n,
-        identity_id="reflect",
-        checked_order=2 * n + 3,
-        holds=not fails,
-        first_failure=min(fails) if fails else None,
-    )
+    return IdentityReport(n, "reflect", 2 * n + 3, not fails,
+                          min(fails) if fails else None)
 
 
 @lru_cache(maxsize=1)
@@ -252,20 +213,11 @@ def conjugate_pair_check(cf: PeriodicCF, L: int) -> IdentityReport:
         raise NotMonomialDenominator(
             f"denominator {tuple(poly_coeffs(S))} has {terms} terms"
         )
-    deg = S.valuation
     x, conj = _branches(cf, L)
-    fail = None
-    for j in range(deg + 1, L):
-        if x[j] != -conj[j]:
-            fail = j
-            break
-    return IdentityReport(
-        n=0,
-        identity_id="conjugate",
-        checked_order=L,
-        holds=fail is None,
-        first_failure=fail,
-    )
+    lo = min(S.valuation + 1, L)  # past the monomial degree
+    tail = LaurentSeries(lo, (x + conj).coefficients(lo, L), L)
+    fail = tail.first_mismatch(zero())
+    return IdentityReport(0, "conjugate", L, fail is None, fail)
 
 
 def conjugate_onset(cf: PeriodicCF, L: int) -> int | None:

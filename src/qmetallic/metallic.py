@@ -22,7 +22,7 @@ from fractions import Fraction
 
 from .errors import NonExactDivision, NonIntegralResult
 from .qnum import QuadraticForm
-from .series import LaurentSeries, monomial, poly_coeffs
+from .series import LaurentSeries, monomial, poly_coeffs, zero
 
 ENGINE_TAGS = ("conv", "precurrence", "closedform", "sqrt")
 
@@ -354,10 +354,8 @@ class CheckResult:
 
 
 def _zero_check(s: LaurentSeries, upto: int, label: str) -> CheckResult:
-    t = s.truncate(upto)
-    if t.is_zero:
-        return CheckResult(True, None, upto, label)
-    return CheckResult(False, int(t.valuation), upto, label)
+    fail = s.first_mismatch(zero(), upto)
+    return CheckResult(fail is None, fail, upto, label)
 
 
 def verify_functional_equation(n: int, L: int) -> CheckResult:

@@ -312,8 +312,11 @@ class QuadraticForm:
                                "QuadraticForm.to_series")
 
 
+_PROBE_ORDER = 10  # coefficients that pick the branch in quantize_quadratic
+
+
 @lru_cache(maxsize=1)
-def quantize_quadratic(cf: PeriodicCF, probe_order: int = 10) -> QuadraticForm:
+def quantize_quadratic(cf: PeriodicCF) -> QuadraticForm:
     """Quadratic equation over Z[q] satisfied by the deformed value of a
     quadratic irrational, reduced, with the branch matching the deformed
     series.
@@ -346,11 +349,11 @@ def quantize_quadratic(cf: PeriodicCF, probe_order: int = 10) -> QuadraticForm:
     S = 2 * a
     # branch: compare t = S*x - R against the canonical sqrt(P)
     margin = 2 + S.valuation + sum(abs(e) for e in cf.preperiod) + 2 * sum(cf.period)
-    xhat = q_real_truncated(cf, probe_order + margin)
+    xhat = q_real_truncated(cf, _PROBE_ORDER + margin)
     t = S * xhat - R
     if t.is_zero:
         raise BranchMismatch("series sits on the double root")
-    if (t * t).first_mismatch(P, upto=probe_order) is not None:
+    if (t * t).first_mismatch(P, upto=_PROBE_ORDER) is not None:
         raise BranchMismatch("neither branch reproduces the deformed series")
     # P / q^val(P) is its coefficient tuple
     if not P or P.coeffs != P.coeffs[::-1] or P.coeffs[0] <= 0:

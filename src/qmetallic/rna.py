@@ -21,7 +21,8 @@ from functools import lru_cache
 from itertools import combinations
 
 from .errors import BudgetExceeded, NonIntegralResult
-from .metallic import CheckResult, closed_form_golden, kappa_values
+from .metallic import CheckResult, closed_form_golden, kappa_values, phi_series
+from .series import LaurentSeries
 
 ENUMERATION_BUDGET = 22
 _BRUTE_BUDGET = 10
@@ -60,6 +61,15 @@ def count_structures(length: int, rank: int = 1) -> int:
     """Number of structures on `length` positions with span > rank."""
     length, rank = _check_args(length, rank)
     return _count_table(length, rank)[length]
+
+
+def count_grid(max_size: int, max_rank: int) -> list:
+    """(l, rank, count) for 1 <= l <= max_size and 0 <= rank <= max_rank,
+    l outermost, read from one counting table per rank."""
+    max_size, max_rank = _check_args(max_size, max_rank)
+    tables = [_count_table(max_size, r) for r in range(max_rank + 1)]
+    return [(l, r, t[l]) for l in range(1, max_size + 1)
+            for r, t in enumerate(tables)]
 
 
 def enumerate_structures(length: int, rank: int = 1) -> int:
@@ -171,22 +181,14 @@ def motzkin_values(L: int) -> list:
 
 
 def sign_bridge_check(L: int) -> CheckResult:
-    """kappa_l = (-1)^l a_{l-1} for 2 <= l < L, and the equivalent series
-    statement F(q) = 1 + q - q A(-q) checked on the same window."""
-    kv = kappa_values(1, L)
+    """The series statement F(q) = 1 + q - q A(-q), A(q) = sum a_l q^l,
+    through q^(L-1): kappa_l = (-1)^l a_{l-1} for l >= 2."""
     a = _count_table(L, 1)  # the table sign_flip_lemma_check(L) reads
-    for l in range(2, L):
-        if kv[l] != (-1) ** l * a[l - 1]:
-            return CheckResult(False, l, L, "sign-bridge")
-    # series form: coefficient of q^l in 1 + q - q A(-q)
-    for l in range(L):
-        if l == 0:
-            want = 1
-        else:
-            want = (1 if l == 1 else 0) - (-1) ** (l - 1) * a[l - 1]
-        if kv[l] != want:
-            return CheckResult(False, l, L, "sign-bridge")
-    return CheckResult(True, None, L, "sign-bridge")
+    # q A(-q) modulo q^(L+1); the comparison stops at F's order L
+    q_a_neg = LaurentSeries(1, [-c if k % 2 else c
+                                for k, c in enumerate(a[:L])], L + 1)
+    fail = phi_series(1, L).first_mismatch(LaurentSeries(0, [1, 1]) - q_a_neg)
+    return CheckResult(fail is None, fail, L, "sign-bridge")
 
 
 def family_divergence(L: int) -> int | None:

@@ -117,18 +117,17 @@ class LaurentSeries:
     def first_mismatch(self, other: "LaurentSeries", upto=None):
         """Smallest exponent below min(orders, upto) with differing
         coefficients, or None."""
-        hi = min(self.order, other.order)
-        if upto is not None:
-            hi = min(hi, upto)
+        hi = min(self.order, other.order, INF if upto is None else upto)
         if hi == INF:
             hi = max(self._content_end(), other._content_end())
-        los = [s.valuation for s in (self, other) if not s.is_zero]
-        if not los:
+        # a zero series has valuation == order >= hi
+        lo = min(self.valuation, other.valuation)
+        if lo >= hi:
             return None
-        for l in range(min(int(min(los)), int(hi)), int(hi)):
-            if self[l] != other[l]:
-                return l
-        return None
+        lo, hi = int(lo), int(hi)
+        a, b = self.coefficients(lo, hi), other.coefficients(lo, hi)
+        return None if a == b else next(
+            lo + i for i, (x, y) in enumerate(zip(a, b)) if x != y)
 
     def eq_mod(self, other: "LaurentSeries", upto=None) -> bool:
         return self.first_mismatch(other, upto) is None

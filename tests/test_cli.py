@@ -4,6 +4,7 @@ import concurrent.futures
 import functools
 import json
 import os
+import shutil
 import sys
 
 import pytest
@@ -12,6 +13,7 @@ from mpmath import mp
 
 from qmetallic import asymptotics as asym
 from qmetallic import cli, identities, metallic, rna
+from qmetallic.cache import cache_load
 from qmetallic.cli import main
 from qmetallic.identities import IDENTITY_IDS
 from qmetallic.metallic import kappa_values
@@ -260,6 +262,54 @@ def test_verify_golden(capsys):
     assert doc["golden_ok"] is True and doc["failures"] == []
 
 
+def test_verify_golden_reports_a_changed_fixture(capsys, monkeypatch,
+                                                 tmp_path):
+    goldens = tmp_path / "goldens"
+    shutil.copytree(cli._goldens_dir(), goldens)
+    path = goldens / "series_metallic.json"
+    doc = json.loads(path.read_text())
+    coeffs = doc["phi2"]["series"]["coeffs"]
+    coeffs[7] = str(int(coeffs[7]) + 1)
+    path.write_text(json.dumps(doc))
+    monkeypatch.setattr(cli, "_goldens_dir", lambda: str(goldens))
+    code, out, err = run(capsys, "verify", "--golden")
+    assert code == 1
+    assert json.loads(out) == {"golden_ok": False,
+                               "failures": ["series_metallic:phi2"]}
+    assert err == "verify: first failing check: series_metallic:phi2\n"
+
+
+def test_warm_verify_still_runs_every_engine(capsys, monkeypatch, tmp_path):
+    argv = ("verify", "--n", "2", "--L", "60", "--cache-dir", str(tmp_path))
+    assert run(capsys, *argv)[0] == 0
+    cached = (tmp_path / "coeffs-n2-conv.json").read_bytes()
+    conv = metallic._conv_values
+
+    def broken(n, L):
+        vals = conv(n, L)
+        if L > 40:
+            vals[40] += 1
+        return vals
+
+    monkeypatch.setattr(metallic, "_conv_values", broken)
+    code, out, err = run(capsys, *argv)
+    checks = {c["name"]: c for c in json.loads(out)["checks"]}
+    assert code == 1 and not checks["engine_agreement"]["ok"]
+    assert checks["engine_agreement"]["detail"]["bad"] == "conv"
+    assert err == "verify: first failing check: engine_agreement\n"
+    # the table that disagreed is not cached
+    assert (tmp_path / "coeffs-n2-conv.json").read_bytes() == cached
+
+
+def test_verify_never_shrinks_a_longer_cached_table(capsys, tmp_path):
+    d = str(tmp_path)
+    assert run(capsys, "coeffs", "--n", "2", "--L", "200", "--engine", "conv",
+               "--cache-dir", d)[0] == 0
+    assert run(capsys, "verify", "--n", "2", "--L", "60", "--cache-dir", d)[0] == 0
+    assert cache_load((2, "conv"), d).upto == 200
+    assert cache_load((2, "sqrt"), d).upto == 60
+
+
 # -- asymptotics, radius, tables ----------------------------------------------------
 
 
@@ -362,6 +412,21 @@ def test_rna_grid(capsys):
     rows = {tuple(map(int, r.split(",")[:2])): int(r.split(",")[2])
             for r in lines[1:]}
     assert rows[(5, 1)] == 8 and rows[(4, 0)] == 9
+
+
+def test_rna_grid_runs_the_dp_once_per_rank(capsys, monkeypatch):
+    calls = []
+    table = rna._count_table.__wrapped__
+
+    def count(length, rank):
+        calls.append((length, rank))
+        return table(length, rank)
+
+    monkeypatch.setattr(rna, "_count_table", functools.lru_cache(1)(count))
+    code, out, _ = run(capsys, "rna", "grid", "--max-size", "40",
+                       "--max-rank", "3")
+    assert code == 0 and len(json.loads(out)) == 40 * 4
+    assert calls == [(40, r) for r in range(4)]
 
 
 # -- logconv ------------------------------------------------------------------------

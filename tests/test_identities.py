@@ -174,3 +174,24 @@ def test_conjugate_pairing_needs_monomial_denominator():
         conjugate_pair_check(cf, 30)
     # the onset probe degrades gracefully instead
     assert conjugate_onset(cf, 30) is None
+
+
+@pytest.mark.parametrize("text", ["3;(3)*", "2;(1,1,1)*", "4;(4,4)*",
+                                  "1;(1,2)*", "0;(2)*"])
+def test_conjugate_pairing_reports_the_first_unpaired_exponent(text):
+    cf = parse_cf(text)
+    x, conj = identities._branches(cf, 40)
+    deg = qnum.quantize_quadratic(cf).S.valuation
+    want = next((j for j in range(deg + 1, 40) if x[j] != -conj[j]), None)
+    rep = conjugate_pair_check(cf, 40)
+    assert rep.first_failure == want and rep.holds == (want is None)
+
+
+def test_reflection_reports_a_broken_polynomial(monkeypatch):
+    # q^(n+1) R(1/q) = R + 2(1+q^n)(1-q) fails at the exponent made wrong
+    from qmetallic.metallic import poly_R
+
+    monkeypatch.setattr(identities, "poly_R",
+                        lambda n: poly_R(n) + LaurentSeries(1, [5]))
+    rep = identities.check_rel(3, "reflectR")
+    assert not rep.holds and rep.first_failure == 1 and rep.checked_order == 5

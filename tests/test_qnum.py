@@ -168,6 +168,22 @@ def test_sqrt_disc_branch_errors():
         nonsq.sqrt_disc(4)
 
 
+def test_sqrt_disc_with_a_square_leading_coefficient_other_than_one():
+    form = QuadraticForm(LaurentSeries(0, []), LaurentSeries(0, [4, 8, 4]),
+                         monomial(2, 0), 1)
+    assert form.sqrt_disc(5) == LaurentSeries(0, [2, 2, 0, 0, 0], 5)
+    assert form.to_series(5) == LaurentSeries(0, [1, 1, 0, 0, 0], 5)
+    form = QuadraticForm(monomial(1, 0), LaurentSeries(0, [9, 6, 1]),
+                         monomial(1, 0), -1)
+    assert form.to_series(5) == LaurentSeries(0, [-2, -1, 0, 0, 0], 5)
+
+
+@pytest.mark.parametrize("r, s", [(5, 2), (7, 3), (-3, 4), (355, 113),
+                                  (1, 1), (0, 1)])
+def test_truncated_deformation_of_a_rational(r, s):
+    assert q_real_truncated(rational_cf(r, s), 12) == q_rational(r, s).to_series(12)
+
+
 def test_forms_hold_only_polynomials():
     one = monomial(1, 0)
     for bad in (monomial(1, -1), LaurentSeries(0, [1, 1], 2),

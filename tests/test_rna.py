@@ -6,6 +6,7 @@ from qmetallic.errors import BudgetExceeded
 from qmetallic.metallic import kappa_values
 from qmetallic.rna import (
     ENUMERATION_BUDGET,
+    count_grid,
     count_structures,
     enumerate_structures,
     family_divergence,
@@ -126,6 +127,26 @@ def test_sign_bridge():
     kv = kappa_values(1, 21)
     for l in range(2, 21):
         assert kv[l] == (-1) ** l * a[l - 1]
+
+
+def test_sign_bridge_reports_one_wrong_coefficient(monkeypatch):
+    from qmetallic import metallic
+
+    right = kappa_values(1, 40)
+    for l in (0, 1, 2, 17):
+        vals = list(right)
+        vals[l] += 1
+        monkeypatch.setattr(metallic, "_tables", {1: vals})
+        res = sign_bridge_check(40)
+        assert not res and res.first_failure == l
+
+
+def test_count_grid_rows():
+    rows = count_grid(6, 2)
+    assert [(l, r) for l, r, _ in rows] == [(l, r) for l in range(1, 7)
+                                            for r in range(3)]
+    assert all(c == count_structures(l, r) for l, r, c in rows)
+    assert count_grid(0, 3) == []
 
 
 def test_family_divergence():

@@ -78,6 +78,32 @@ def test_first_mismatch():
     assert a.first_mismatch(a) is None
 
 
+def test_first_mismatch_reads_every_known_exponent():
+    # against a reference that reads one exponent at a time
+    rng = random.Random(13)
+    for _ in range(500):
+        pair = []
+        for _ in range(2):
+            v, k = rng.randint(-4, 4), rng.randint(0, 6)
+            cs = [rng.choice([0, 0, 1, -1, Fraction(1, 2)]) for _ in range(k)]
+            pair.append(L(v, cs, rng.choice([INF, v + k])))
+        a, b = pair
+        upto = rng.choice([None, -5, 0, 3, 7])
+        hi = min(a.order, b.order, INF if upto is None else upto)
+        if hi == INF:
+            hi = max(a.valuation + len(a.coeffs) if a else 0,
+                     b.valuation + len(b.coeffs) if b else 0)
+        want = next((l for l in range(-10, int(hi)) if a[l] != b[l]), None)
+        assert a.first_mismatch(b, upto) == want
+
+
+def test_first_mismatch_with_zero_series():
+    assert zero().first_mismatch(zero()) is None
+    assert zero(4).first_mismatch(L(-2, [0, 0, 3])) == 0
+    assert L(6, [1]).first_mismatch(zero(5)) is None
+    assert L(-3, [2, 0, 1], 0).first_mismatch(zero()) == -3
+
+
 def test_eq_mod():
     a = L(0, [1, 2, 3])
     assert a.eq_mod(L(0, [1, 2, 99]), upto=2)
