@@ -5,8 +5,10 @@ coefficient reflection.
 Every check builds both sides independently: one side through the modular
 group actions of module qnum applied to the base series F = [phi_n]_q, the
 other through explicit Laurent expansions whose tails are coefficient sums
-over the kappa table; the sides of the seven series relations are built
-once per (n, L) and shared by their checks.  check_all reports each tag
+over the kappa table; the sides of the eight series relations are built
+once per (n, L) and shared by their checks.  crin and multinv are one
+identity up to the factor -1/q on both sides, 1/F = -q [-1/phi_n], so
+they share one solve of 1/F.  check_all reports each tag
 once, after rejecting an order below min_order(n).  Reports carry the
 identity tag, the compared window, and the first mismatch on failure.
 """
@@ -28,8 +30,7 @@ from .qnum import (
     reciprocal,
     shift,
 )
-from .series import (LaurentSeries, monomial, poly_coeffs, reversal,
-                     series_inverse, zero)
+from .series import LaurentSeries, monomial, poly_coeffs, reversal, zero
 
 IDENTITY_IDS = (
     "rel1", "rel2", "rel3", "rel4",
@@ -134,6 +135,8 @@ def _relation_sides(n: int, L: int) -> dict:
         "recip": (recip_a, fam.recip),
         "crin": (negrecip_a, fam.negrecip),
         "neg": (neg_a, fam.neg),
+        # 1/F = -q * [-1/phi_n]: crin's solve, against 1/F's own pattern
+        "multinv": (-negrecip_a.shift(1), _inverse_formula(n, L)),
     }
 
 
@@ -171,8 +174,7 @@ def mult_inverse_check(n: int, L: int = 300) -> IdentityReport:
     """Multiplicative inverse against the explicit Laurent pattern."""
     n = _check_n(n)
     _require_min_order(n, L)
-    inv = series_inverse(phi_series(n, L), L)
-    return _compare(n, "multinv", inv, _inverse_formula(n, L), L)
+    return _compare(n, "multinv", *_relation_sides(n, L)["multinv"], L)
 
 
 def _reflection_single(n: int, identity_id: str) -> IdentityReport:

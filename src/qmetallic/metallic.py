@@ -318,6 +318,8 @@ def kappa_values(n: int, L: int) -> list:
     """First L coefficients, grown per index in-process: the one place the
     recurrence runs."""
     n = _check_n(n)
+    if L < 0:
+        raise ValueError("number of coefficients must be >= 0")
     with _tables_lock:
         vals = _tables.setdefault(n, [])
         if len(vals) < L:
@@ -330,6 +332,8 @@ def kappa_values(n: int, L: int) -> list:
 
 
 def kappa(n: int, l: int) -> int:
+    if l < 0:
+        raise ValueError("negative exponent")
     return kappa_values(n, l + 1)[l]
 
 
@@ -415,6 +419,7 @@ def _bareiss_det(rows: list) -> int:
 
 def hankel(n: int, s: int, j: int) -> int:
     """Hankel determinant det(kappa_{a+b+s}) of size j, shift s >= 0."""
+    n = _check_n(n)
     if s < 0 or j < 0:
         raise ValueError("shift and size must be >= 0")
     if j == 0:

@@ -89,14 +89,6 @@ class PeriodicCF:
             raise IndexError(i)
         return self.period[(i - len(self.preperiod)) % len(self.period)]
 
-    def real_value(self, iterations: int = 64) -> float:
-        """Float value, for display only."""
-        n = len(self.preperiod) + (len(self.period) * max(1, iterations) if self.period else 0)
-        x = float(self.entry(n - 1))
-        for i in range(n - 2, -1, -1):
-            x = self.entry(i) + 1.0 / x
-        return x
-
     def __str__(self) -> str:
         return cf_to_text(self)
 

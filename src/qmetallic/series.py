@@ -15,6 +15,7 @@ window with `valuation == order`.
 from __future__ import annotations
 
 import math
+import operator
 from fractions import Fraction
 from typing import Iterable, Sequence
 
@@ -336,9 +337,10 @@ def series_div(num: LaurentSeries, den: LaurentSeries, target_order: int) -> Lau
 def series_sqrt(a: LaurentSeries, target_order: int) -> LaurentSeries:
     """Square root of a unit series with constant term 1, modulo q^target_order.
 
-    Newton iteration x -> (x + a/x)/2 with doubling working precision; each
-    iterate is truncated at its proven-agreement order, so integer input with
-    an integral root never leaves the integers.
+    One triangular recurrence, x_0 = 1 and 2 x_k = a_k - sum_{0<i<k} x_i
+    x_(k-i), each pair i < k - i counted once and doubled; an exact a
+    shorter than the target counts as zero-padded.  Every x_k is exact, so
+    integer input with an integral root never leaves the integers.
     """
     if target_order < 1:
         raise ValueError("target_order must be >= 1")
@@ -348,16 +350,14 @@ def series_sqrt(a: LaurentSeries, target_order: int) -> LaurentSeries:
         raise InsufficientOrder(
             f"need {target_order} known coefficients, have {a.order - a.valuation}"
         )
-    n = target_order
-    awin = a.coeffs[:n]
+    awin = a.coefficients(0, target_order)
     x = [1]
-    m = 1
-    while m < n:
-        m = min(2 * m, n)
-        u = _window_div(awin, x, m)
-        x += [0] * (m - len(x))
-        x = [_half(xk + uk) for xk, uk in zip(x, u)]
-    return LaurentSeries(0, x, n)
+    for k in range(1, target_order):
+        s = 2 * sum(map(operator.mul, x[1:(k + 1) // 2], x[k - 1:k // 2:-1]))
+        if k & 1 == 0:
+            s += x[k // 2] ** 2
+        x.append(_half(awin[k] - s))
+    return LaurentSeries(0, x, target_order)
 
 
 def assert_integral(s: LaurentSeries, context: str = "series") -> LaurentSeries:

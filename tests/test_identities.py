@@ -2,7 +2,7 @@
 
 import pytest
 
-from qmetallic import identities, qnum
+from qmetallic import identities, qnum, series
 from qmetallic.errors import NotMonomialDenominator
 from qmetallic.identities import (
     IDENTITY_IDS,
@@ -54,6 +54,22 @@ def test_check_all_builds_the_sides_once(monkeypatch):
     assert all(check_all(2, 70))
     assert len(divisions) == 3
     assert tags == list(IDENTITY_IDS)
+
+
+def test_check_all_makes_three_divisions_in_all(monkeypatch):
+    # crin and multinv share one solve of 1/F; no other module divides
+    divisions = []
+    real_div = series.series_div
+
+    def count_div(*args):
+        divisions.append(args)
+        return real_div(*args)
+
+    monkeypatch.setattr(series, "series_div", count_div)
+    monkeypatch.setattr(qnum, "series_div", count_div)
+    identities._relation_sides.cache_clear()
+    assert all(check_all(2, 70))
+    assert len(divisions) == 3
 
 
 def test_check_all_rejects_a_low_order_before_any_work(monkeypatch):

@@ -2,7 +2,8 @@
 
 import pytest
 
-from qmetallic.series import LaurentSeries, monomial, poly_coeffs, reversal
+from qmetallic.series import (LaurentSeries, monomial, poly_coeffs, reversal,
+                              series_sqrt)
 from qmetallic.qnum import q_integer
 from qmetallic.metallic import (
     ENGINE_TAGS,
@@ -111,6 +112,30 @@ def test_index_validation():
         kappa_values(0, 10)
     with pytest.raises(ValueError):
         kappa_values(-2, 10)
+
+
+def test_negative_sizes_never_slice_the_store():
+    kappa_values(1, 12)   # a store longer than any request below
+    with pytest.raises(ValueError):
+        kappa_values(1, -3)
+    with pytest.raises(ValueError):
+        kappa(1, -2)
+    assert kappa_values(1, 0) == []
+    assert kappa(1, 9) == GOLDEN_KAPPA[9]
+
+
+def test_hankel_checks_the_index_before_the_empty_case():
+    with pytest.raises(ValueError):
+        hankel(0, 0, 0)
+    assert hankel(1, 0, 0) == 1
+
+
+def test_sqrt_of_P_is_2qF_minus_R_from_the_store():
+    # P = R^2 + 4q, so its root with constant term 1 is 2qF - R
+    L = 1500
+    for n in (1, 2, 5, 12):
+        root = 2 * phi_series(n, L - 1).shift(1) - poly_R(n)
+        assert series_sqrt(poly_P(n), L) == root
 
 
 # -- the holonomic recurrence -------------------------------------------------------

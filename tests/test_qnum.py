@@ -81,11 +81,6 @@ def test_entry_periodic_continuation():
     assert parse_cf("5;2").is_rational
 
 
-def test_real_value():
-    golden = (1 + 5 ** 0.5) / 2
-    assert abs(parse_cf("1;(1)*").real_value() - golden) < 1e-12
-
-
 def test_rational_cf_and_value_round_trip():
     cf = rational_cf(22, 7)
     assert cf.preperiod == (3, 7) and cf.period == ()

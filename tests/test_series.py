@@ -327,6 +327,20 @@ def test_sqrt_integer_result_stays_integral():
     assert r.is_integral()
 
 
+def test_sqrt_pads_a_short_exact_polynomial():
+    r = series_sqrt(L(0, [1, 2, 1]), 8)   # exact (1+q)^2, shorter than 8
+    assert r == L(0, [1, 1] + [0] * 6, 8)
+    assert format_q(r) == "1 + q + O(q^8)"
+
+
+def test_sqrt_of_one_plus_q_is_the_binomial_series():
+    binom, c = [], Fraction(1)
+    for k in range(12):
+        binom.append(c)
+        c = c * (Fraction(1, 2) - k) / (k + 1)
+    assert series_sqrt(L(0, [1, 1]), 12) == L(0, binom, 12)
+
+
 # -- serialization ------------------------------------------------------------------
 
 
