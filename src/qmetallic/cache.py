@@ -1,12 +1,16 @@
 """Persistent coefficient-table cache and run manifests.
 
-Cache files are the series exchange JSON plus bookkeeping: a format
-version (bumping it invalidates every cache) and a sha256 integrity
-hash over the canonical payload.  Writes are create-then-rename so
-concurrent writers never interleave partial files.  Loads re-verify the
-hash, that every value is canonical decimal text, and the structural
-prefix invariant before trusting disk data.  A loaded table keeps that
-text, so printing it converts nothing; its ints are parsed only if asked.
+A cache entry `coeffs-n{n}-{engine}.txt` is one JSON header line,
+`{"format_version": 3, "n": ..., "engine": ..., "sha256": ...}`, then one
+canonical decimal coefficient per line (what str gives an int).  The hash
+covers exactly the bytes after the header line, so
+`tail -n +2 FILE | sha256sum` reproduces it.  Bumping the format version
+invalidates every cache.  Writes are create-then-rename so concurrent
+writers never interleave partial files.  Loads re-verify the version, the
+key, the hash, that every line is canonical decimal text, and the
+structural prefix invariant before trusting disk data.  A loaded table
+keeps that text, so printing it converts nothing; its ints are parsed only
+if asked.
 
 A RunManifest records enough to reproduce a CLI experiment: command,
 parameters (precision bits included), package version, UTC timestamp,
@@ -26,11 +30,11 @@ from .errors import CacheCorrupt
 from .metallic import (ENGINE_TAGS, CoeffTable, _check_n,
                        canonical_engine_tag, table_engine)
 
-FORMAT_VERSION = 2
+FORMAT_VERSION = 3
 ENV_CACHE_DIR = "QMETALLIC_CACHE_DIR"
 ARTIFACT_VERSION = "0.1.0"
-# exactly the strings str(int) gives: no sign on 0, no leading zeros
-_CANONICAL_INT = re.compile(r"0|-?[1-9][0-9]*")
+# lines of exactly the strings str(int) gives: no sign on 0, no leading zeros
+_CANONICAL_LINES = re.compile(rb"(?:(?:0|-?[1-9][0-9]*)\n)*")
 
 
 def cache_directory(explicit=None) -> str:
@@ -46,12 +50,7 @@ def cache_directory(explicit=None) -> str:
 def _cache_path(key, cache_dir) -> str:
     n, engine = key
     assert engine in ENGINE_TAGS
-    return os.path.join(cache_directory(cache_dir), f"coeffs-n{n}-{engine}.json")
-
-
-def _payload_hash(payload: dict) -> str:
-    blob = json.dumps(payload, sort_keys=True, separators=(",", ":"))
-    return hashlib.sha256(blob.encode("ascii")).hexdigest()
+    return os.path.join(cache_directory(cache_dir), f"coeffs-n{n}-{engine}.txt")
 
 
 def atomic_write_text(path: str, text: str) -> None:
@@ -74,18 +73,12 @@ def atomic_write_text(path: str, text: str) -> None:
 def cache_store(key, table: CoeffTable, cache_dir=None) -> str:
     """Persist a coefficient table under (n, engine); returns the path."""
     n, engine = key
-    assert table.n == n and len(table.text) == table.upto
-    payload = {
-        "format_version": FORMAT_VERSION,
-        "n": n,
-        "engine": engine,
-        "upto": table.upto,
-        "values": list(table.text),
-    }
-    payload["sha256"] = _payload_hash(
-        {k: v for k, v in payload.items() if k != "sha256"})
+    assert table.n == n
+    body = "\n".join(table.text + ("",))
+    header = {"format_version": FORMAT_VERSION, "n": n, "engine": engine,
+              "sha256": hashlib.sha256(body.encode("ascii")).hexdigest()}
     path = _cache_path(key, cache_dir)
-    atomic_write_text(path, json.dumps(payload, indent=1) + "\n")
+    atomic_write_text(path, json.dumps(header) + "\n" + body)
     return path
 
 
@@ -93,31 +86,25 @@ def cache_load(key, cache_dir=None) -> CoeffTable:
     """Strict load: FileNotFoundError if absent, CacheCorrupt if untrustworthy."""
     n, engine = key
     path = _cache_path(key, cache_dir)
-    with open(path) as fh:
+    with open(path, "rb") as fh:
         try:
-            payload = json.load(fh)
+            head, _, body = fh.read().partition(b"\n")
+            header = json.loads(head)
         except ValueError as exc:
-            raise CacheCorrupt(f"{path}: not valid JSON ({exc})") from exc
-    if not isinstance(payload, dict):
-        raise CacheCorrupt(f"{path}: not a JSON object")
-    if payload.get("format_version") != FORMAT_VERSION:
-        raise CacheCorrupt(
-            f"{path}: format_version {payload.get('format_version')!r}, "
-            f"expected {FORMAT_VERSION}")
-    want = payload.get("sha256")
-    got = _payload_hash({k: v for k, v in payload.items() if k != "sha256"})
-    if want != got:
-        raise CacheCorrupt(f"{path}: sha256 mismatch")
-    if payload.get("n") != n or payload.get("engine") != engine:
+            raise CacheCorrupt(f"{path}: header is not JSON ({exc})") from exc
+    if type(header) is not dict or header.get("format_version") != FORMAT_VERSION:
+        raise CacheCorrupt(f"{path}: not a format {FORMAT_VERSION} cache entry")
+    if header.get("n") != n or header.get("engine") != engine:
         raise CacheCorrupt(f"{path}: key mismatch")
+    if header.get("sha256") != hashlib.sha256(body).hexdigest():
+        raise CacheCorrupt(f"{path}: sha256 mismatch")
+    if not _CANONICAL_LINES.fullmatch(body):
+        raise CacheCorrupt(f"{path}: a line is not canonical decimal integer text")
+    lines = body.decode("ascii").split("\n")[:-1]
     try:
-        text = payload["values"]
-        if type(text) is not list or not all(map(_CANONICAL_INT.fullmatch, text)):
-            raise ValueError("values are not a list of canonical decimal integers")
-        table = CoeffTable(n, int(payload["upto"]), None, engine, text=text)
-    except (KeyError, ValueError, TypeError, AssertionError) as exc:
+        return CoeffTable(n, len(lines), None, engine, text=lines)
+    except ValueError as exc:
         raise CacheCorrupt(f"{path}: structural invariant violated ({exc})") from exc
-    return table
 
 
 def cached_table(n: int, L: int, engine: str = "precurrence",

@@ -314,6 +314,22 @@ _tables: dict[int, list] = {}
 _tables_lock = threading.Lock()
 
 
+def _seed_values(n: int) -> list:
+    """The first 2n + 2 coefficients, closed: F = [n]_q + q^(2n) - [n = 1] q^3
+    modulo q^(2n+2).
+
+    With T = [n]_q and G = T + q^(2n), the identities (1 - q) T = 1 - q^n
+    and R = qT - (1 - q)(1 + q^n) give
+
+        q G^2 - R G - 1 = q^(2n+1) (T - 1) + q^(3n) - q^(3n+1) + q^(4n+1),
+
+    which is O(q^(2n+2)) for n >= 2 and q^3 + O(q^4) for n = 1.  As
+    q F^2 - R F - 1 = 0, F - G = -(q G^2 - R G - 1) / (q (F + G) - R), whose
+    divisor is 1 + O(q); so F = G modulo q^(2n+2), less q^3 when n = 1.
+    """
+    return [1] * n + [0] * n + [1, -1 if n == 1 else 0]
+
+
 def kappa_values(n: int, L: int) -> list:
     """First L coefficients, grown per index in-process: the one place the
     recurrence runs."""
@@ -324,8 +340,7 @@ def kappa_values(n: int, L: int) -> list:
         vals = _tables.setdefault(n, [])
         if len(vals) < L:
             if len(vals) < 2 * n + 2:
-                # seed the linear-time recurrence with the convolution engine
-                vals[:] = _conv_values(n, 2 * n + 2)
+                vals[:] = _seed_values(n)
             if len(vals) < L:
                 _p_extend(n, vals, L)
         return vals[:L]

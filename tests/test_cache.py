@@ -24,17 +24,35 @@ from qmetallic.metallic import _p_extend, coeffs_p_recurrence, kappa_values
 
 
 def _entry_path(tmp, n=1, engine="precurrence"):
-    return os.path.join(tmp, f"coeffs-n{n}-{engine}.json")
+    return os.path.join(tmp, f"coeffs-n{n}-{engine}.txt")
+
+
+def _read_entry(path):
+    """The header as a dict, and the body bytes."""
+    head, body = open(path, "rb").read().split(b"\n", 1)
+    return json.loads(head), body
+
+
+def _write_entry(path, header, body):
+    open(path, "wb").write(json.dumps(header).encode() + b"\n" + body)
 
 
 def test_store_load_round_trip(tmp_path):
     d = str(tmp_path)
     table = coeffs_p_recurrence(2, 30)
-    cache_store((2, "precurrence"), table, d)
+    path = cache_store((2, "precurrence"), table, d)
     back = cache_load((2, "precurrence"), d)
     assert back.n == 2 and back.upto == 30
     assert tuple(back.values) == tuple(table.values)
     assert back.engine == "precurrence"
+    # a header line, then one decimal per line; the hash covers exactly the
+    # body bytes, as `tail -n +2 FILE | sha256sum` does
+    assert path == _entry_path(d, 2)
+    header, body = _read_entry(path)
+    assert header == {"format_version": FORMAT_VERSION, "n": 2,
+                      "engine": "precurrence",
+                      "sha256": hashlib.sha256(body).hexdigest()}
+    assert body.decode().split("\n") == list(table.text) + [""]
 
 
 def test_load_missing(tmp_path):
@@ -46,10 +64,11 @@ def test_tampered_value_detected(tmp_path):
     d = str(tmp_path)
     cache_store((1, "precurrence"), coeffs_p_recurrence(1, 20), d)
     p = _entry_path(d)
-    doc = json.load(open(p))
-    doc["values"][5] = "12345"
-    open(p, "w").write(json.dumps(doc))
-    with pytest.raises(CacheCorrupt):
+    header, body = _read_entry(p)
+    lines = body.split(b"\n")
+    lines[5] = b"12345"
+    _write_entry(p, header, b"\n".join(lines))
+    with pytest.raises(CacheCorrupt, match="sha256"):
         cache_load((1, "precurrence"), d)
 
 
@@ -57,10 +76,10 @@ def test_version_gate(tmp_path):
     d = str(tmp_path)
     cache_store((1, "precurrence"), coeffs_p_recurrence(1, 20), d)
     p = _entry_path(d)
-    doc = json.load(open(p))
-    doc["format_version"] = FORMAT_VERSION + 1
-    open(p, "w").write(json.dumps(doc))
-    with pytest.raises(CacheCorrupt):
+    header, body = _read_entry(p)
+    header["format_version"] = FORMAT_VERSION + 1
+    _write_entry(p, header, body)
+    with pytest.raises(CacheCorrupt, match="format"):
         cache_load((1, "precurrence"), d)
 
 
@@ -68,20 +87,32 @@ def test_truncated_json_detected(tmp_path):
     d = str(tmp_path)
     cache_store((1, "precurrence"), coeffs_p_recurrence(1, 20), d)
     p = _entry_path(d)
-    open(p, "w").write(open(p).read()[:40])
-    with pytest.raises(CacheCorrupt):
-        cache_load((1, "precurrence"), d)
+    data = open(p, "rb").read()
+    for cut in (40, len(data) - 3, len(data) - 1):  # in the header, in the body
+        open(p, "wb").write(data[:cut])
+        with pytest.raises(CacheCorrupt):
+            cache_load((1, "precurrence"), d)
 
 
 def test_missing_key_detected(tmp_path):
     d = str(tmp_path)
     cache_store((1, "precurrence"), coeffs_p_recurrence(1, 20), d)
     p = _entry_path(d)
-    doc = json.load(open(p))
-    del doc["upto"]
-    open(p, "w").write(json.dumps(doc))
-    with pytest.raises(CacheCorrupt):
+    header, body = _read_entry(p)
+    del header["n"]
+    _write_entry(p, header, body)
+    with pytest.raises(CacheCorrupt, match="key"):
         cache_load((1, "precurrence"), d)
+
+
+def test_wrong_key_detected(tmp_path):
+    # a valid entry for another n, under this key's name
+    d = str(tmp_path)
+    cache_store((2, "precurrence"), coeffs_p_recurrence(2, 20), d)
+    os.replace(_entry_path(d, 2), _entry_path(d, 1))
+    with pytest.raises(CacheCorrupt, match="key"):
+        cache_load((1, "precurrence"), d)
+    assert list(cached_table(1, 20, "precurrence", d).values) == kappa_values(1, 20)
 
 
 def test_cached_table_cold_then_warm(tmp_path):
@@ -92,19 +123,19 @@ def test_cached_table_cold_then_warm(tmp_path):
     assert tuple(t1.values) == tuple(t2.values) == tuple(kappa_values(3, 40))
 
 
-def test_null_upto_is_corrupt_and_heals(tmp_path):
+def test_header_missing_a_field_is_corrupt_and_heals(tmp_path):
     d = str(tmp_path)
     cache_store((1, "precurrence"), coeffs_p_recurrence(1, 20), d)
     p = _entry_path(d)
-    doc = json.load(open(p))
-    doc["upto"] = None
-    doc["sha256"] = cache._payload_hash(
-        {k: v for k, v in doc.items() if k != "sha256"})
-    open(p, "w").write(json.dumps(doc))
-    with pytest.raises(CacheCorrupt):
-        cache_load((1, "precurrence"), d)
-    assert list(cached_table(1, 20, "precurrence", d).values) == kappa_values(1, 20)
-    assert cache_load((1, "precurrence"), d).upto == 20
+    good, body = _read_entry(p)
+    for field in good:
+        header = dict(good)
+        del header[field]
+        _write_entry(p, header, body)
+        with pytest.raises(CacheCorrupt):
+            cache_load((1, "precurrence"), d)
+        assert list(cached_table(1, 20, "precurrence", d).values) == kappa_values(1, 20)
+        assert _read_entry(p) == (good, body)
 
 
 @pytest.mark.parametrize("engine", ["conv", "sqrt", "precurrence"])
@@ -136,8 +167,7 @@ def test_cached_table_extends_and_persists(tmp_path):
     t = cached_table(1, 120, "precurrence", d)
     assert len(t.values) == 120
     assert list(t.values) == kappa_values(1, 120)
-    doc = json.load(open(_entry_path(d)))
-    assert doc["upto"] == 120
+    assert cache_load((1, "precurrence"), d).upto == 120
 
 
 def test_cached_table_truncates_without_losing_cache(tmp_path):
@@ -145,17 +175,15 @@ def test_cached_table_truncates_without_losing_cache(tmp_path):
     cached_table(1, 100, "precurrence", d)
     t = cached_table(1, 25, "precurrence", d)
     assert len(t.values) == 25
-    doc = json.load(open(_entry_path(d)))
-    assert doc["upto"] == 100          # longer table kept on disk
+    assert cache_load((1, "precurrence"), d).upto == 100  # longer table kept on disk
 
 
 def test_cached_table_heals_corruption(tmp_path):
     d = str(tmp_path)
     cached_table(2, 30, "precurrence", d)
     p = _entry_path(d, 2)
-    doc = json.load(open(p))
-    doc["values"][3] = "999"
-    open(p, "w").write(json.dumps(doc))
+    header, body = _read_entry(p)
+    _write_entry(p, header, body.replace(b"\n0\n", b"\n999\n", 1))
     t = cached_table(2, 30, "precurrence", d)
     assert list(t.values) == kappa_values(2, 30)
     # and the on-disk copy is valid again
@@ -212,13 +240,12 @@ def test_run_manifest(tmp_path):
 
 
 def _rewrite_values(path, values):
-    """Replace the cached values and re-sign the payload, as a careful
-    tamperer would."""
-    doc = json.load(open(path))
-    doc["values"] = values
-    doc["sha256"] = cache._payload_hash(
-        {k: v for k, v in doc.items() if k != "sha256"})
-    open(path, "w").write(json.dumps(doc, indent=1) + "\n")
+    """Replace the cached lines and re-sign the body, as a careful tamperer
+    would."""
+    header, _ = _read_entry(path)
+    body = "".join(v + "\n" for v in values).encode()
+    header["sha256"] = hashlib.sha256(body).hexdigest()
+    _write_entry(path, header, body)
 
 
 def _coeffs(capsys, *argv):
@@ -230,15 +257,16 @@ def test_cache_file_bytes_are_pinned(tmp_path):
     # existing caches stay valid only while the bytes written stay the same
     cached_table(2, 30, "precurrence", str(tmp_path))
     assert file_sha256(_entry_path(str(tmp_path), 2)) == (
-        "2e3a0e6d20f165efc8946c28694dbce93b508adf51d4e0e6f4bb00c2d420d29d")
+        "abb703af1c0f5c994989e091dae4d1702a04e3b037be3fef633ae3e32fae97aa")
 
 
 @pytest.mark.parametrize("index, text", [
     (8, "037"), (8, "+37"), (8, " 37"), (8, "3_7"), (8, "٣٧"),
-    (1, "-0"),
+    (1, "-0"), (8, "37\r"), (8, "37\n"),
 ])
 def test_non_canonical_decimal_text_is_corrupt(tmp_path, capsys, index, text):
-    # int() takes each of these, so only the canonical-text check sees them
+    # int() takes each of these, so only the canonical-text check sees them;
+    # the last two are a line with a carriage return and a blank line
     d = str(tmp_path)
     args = ("--n", "1", "--L", "20", "--cache-dir", d)
     cold = _coeffs(capsys, *args)
@@ -253,13 +281,67 @@ def test_non_canonical_decimal_text_is_corrupt(tmp_path, capsys, index, text):
     assert open(_entry_path(d)).read() == good
 
 
-@pytest.mark.parametrize("values", ["1101", {"0": "1"}, [1, 1, 0], None])
-def test_values_must_be_a_list_of_strings(tmp_path, values):
+def _damaged(data, how):
+    head, body = data.split(b"\n", 1)
+    bad = body.replace(b"\n0\n", b"\n\xff\xfe\n", 1)
+    if how == "undecodable body":
+        return head + b"\n" + bad
+    if how == "undecodable signed body":
+        header = json.loads(head)
+        header["sha256"] = hashlib.sha256(bad).hexdigest()
+        return json.dumps(header).encode() + b"\n" + bad
+    if how == "undecodable header":
+        return b"\xff" + data
+    if how == "header not an object":
+        return b"[3]\n" + body
+    return b"format 3, n 1\n" + body  # a header that is not JSON
+
+
+@pytest.mark.parametrize("how", ["undecodable body", "undecodable signed body",
+                                 "undecodable header", "header not JSON",
+                                 "header not an object"])
+def test_undecodable_or_unparsable_entry_is_corrupt_and_heals(tmp_path, capsys,
+                                                              how):
     d = str(tmp_path)
-    cache_store((1, "precurrence"), coeffs_p_recurrence(1, 4), d)
-    _rewrite_values(_entry_path(d), values)
+    args = ("--n", "1", "--L", "20", "--cache-dir", d)
+    cold = _coeffs(capsys, *args)
+    good = open(_entry_path(d), "rb").read()
+    open(_entry_path(d), "wb").write(_damaged(good, how))
     with pytest.raises(CacheCorrupt):
         cache_load((1, "precurrence"), d)
+    assert _coeffs(capsys, *args) == cold
+    assert open(_entry_path(d), "rb").read() == good
+
+
+def _write_format_2_entry(path, n, engine, values):
+    """An entry as format 2 wrote it: an indented JSON document signed by
+    the sha256 of a sorted, compact dump of its other fields."""
+    doc = {"format_version": 2, "n": n, "engine": engine,
+           "upto": len(values), "values": values}
+    blob = json.dumps(doc, sort_keys=True, separators=(",", ":"))
+    doc["sha256"] = hashlib.sha256(blob.encode("ascii")).hexdigest()
+    open(path, "w").write(json.dumps(doc, indent=1) + "\n")
+
+
+def test_format_2_entries_are_ignored(tmp_path, capsys):
+    d = str(tmp_path / "cache")
+    os.makedirs(d)
+    values = [str(v) for v in kappa_values(2, 80)]
+    values[50] = str(int(values[50]) + 1)  # would show, were it read
+    old = {}
+    for tag in metallic.ENGINE_TAGS:
+        old[tag] = os.path.join(d, f"coeffs-n2-{tag}.json")
+        _write_format_2_entry(old[tag], 2, tag, values)
+    before = {tag: open(p, "rb").read() for tag, p in old.items()}
+    for engine in ("conv", "prec", "sqrt", "closed"):
+        args = ("--n", "2", "--L", "60", "--engine", engine)
+        fresh = _coeffs(capsys, *args, "--cache-dir", str(tmp_path / engine))
+        assert _coeffs(capsys, *args, "--cache-dir", d) == fresh
+    assert cli.main(["verify", "--n", "2", "--L", "60", "--cache-dir", d]) == 0
+    checks = {c["name"]: c for c in json.loads(capsys.readouterr().out)["checks"]}
+    assert checks["cache_integrity"] == {"name": "cache_integrity", "ok": True,
+                                         "detail": {"corrupt": []}}
+    assert {tag: open(p, "rb").read() for tag, p in old.items()} == before
 
 
 def test_loaded_table_holds_text_until_ints_are_asked_for(tmp_path):
@@ -294,4 +376,4 @@ def test_warm_coeffs_equal_cold_byte_for_byte(tmp_path, capsys, monkeypatch,
             warm = _coeffs(capsys, "--n", str(n), "--L", str(L),
                            "--format", fmt, "--cache-dir", d)
             assert warm == cold[L], (L, d)
-    assert json.load(open(_entry_path(longer, n)))["upto"] == 45
+    assert cache_load((n, "precurrence"), longer).upto == 45

@@ -282,7 +282,7 @@ def test_verify_golden_reports_a_changed_fixture(capsys, monkeypatch,
 def test_warm_verify_still_runs_every_engine(capsys, monkeypatch, tmp_path):
     argv = ("verify", "--n", "2", "--L", "60", "--cache-dir", str(tmp_path))
     assert run(capsys, *argv)[0] == 0
-    cached = (tmp_path / "coeffs-n2-conv.json").read_bytes()
+    cached = (tmp_path / "coeffs-n2-conv.txt").read_bytes()
     conv = metallic._conv_values
 
     def broken(n, L):
@@ -298,7 +298,7 @@ def test_warm_verify_still_runs_every_engine(capsys, monkeypatch, tmp_path):
     assert checks["engine_agreement"]["detail"]["bad"] == "conv"
     assert err == "verify: first failing check: engine_agreement\n"
     # the table that disagreed is not cached
-    assert (tmp_path / "coeffs-n2-conv.json").read_bytes() == cached
+    assert (tmp_path / "coeffs-n2-conv.txt").read_bytes() == cached
 
 
 def test_verify_never_shrinks_a_longer_cached_table(capsys, tmp_path):

@@ -2,6 +2,7 @@
 
 import pytest
 
+from qmetallic import metallic
 from qmetallic.series import (LaurentSeries, monomial, poly_coeffs, reversal,
                               series_sqrt)
 from qmetallic.qnum import q_integer
@@ -122,6 +123,22 @@ def test_negative_sizes_never_slice_the_store():
         kappa(1, -2)
     assert kappa_values(1, 0) == []
     assert kappa(1, 9) == GOLDEN_KAPPA[9]
+
+
+@pytest.mark.parametrize("n", [*range(1, 41), 300])
+def test_store_seed_is_the_closed_prefix(n):
+    assert metallic._seed_values(n) == metallic._conv_values(n, 2 * n + 2)
+
+
+def test_store_never_runs_the_convolution_engine(monkeypatch):
+    def refuse(n, L):
+        raise AssertionError("the conv engine seeded the store")
+
+    monkeypatch.setattr(metallic, "_tables", {})
+    monkeypatch.setattr(metallic, "_conv_values", refuse)
+    for n in (1, 2, 3):
+        assert kappa_values(n, 60) == list(coeffs_closed_form(n, 60).values)
+    assert kappa_values(3000, 3) == [1, 1, 1]
 
 
 def test_hankel_checks_the_index_before_the_empty_case():
