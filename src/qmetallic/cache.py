@@ -12,6 +12,11 @@ structural prefix invariant before trusting disk data.  A loaded table
 keeps that text, so printing it converts nothing; its ints are parsed only
 if asked.
 
+`cached_table` serves `coeffs`; `cache_refresh` is the whole cache rule of
+`verify`: one read of each engine's entry, a store of each table that
+agreed unless a valid entry at least as long is there, one read-back of
+every store, and the list of entries that still do not load.
+
 A RunManifest records enough to reproduce a CLI experiment: command,
 parameters (precision bits included), package version, UTC timestamp,
 and the sha256 of every output file.  Outputs themselves contain only
@@ -107,6 +112,17 @@ def cache_load(key, cache_dir=None) -> CoeffTable:
         raise CacheCorrupt(f"{path}: structural invariant violated ({exc})") from exc
 
 
+def _read(key, cache_dir):
+    """The entry's table, None when it is absent, or the CacheCorrupt that
+    loading it raised."""
+    try:
+        return cache_load(key, cache_dir)
+    except FileNotFoundError:
+        return None
+    except CacheCorrupt as exc:
+        return exc
+
+
 def cached_table(n: int, L: int, engine: str = "precurrence",
                  cache_dir=None) -> CoeffTable:
     """Cache-backed table: load it, or, when the entry is absent, short or
@@ -114,15 +130,30 @@ def cached_table(n: int, L: int, engine: str = "precurrence",
     n = _check_n(n)
     tag = canonical_engine_tag(engine)
     key = (n, tag)
-    try:
-        table = cache_load(key, cache_dir)
-    except (FileNotFoundError, CacheCorrupt):
-        table = None  # recompute, then overwrite a bad file
-    if table is not None and table.upto >= L:
+    table = _read(key, cache_dir)  # a bad file is recomputed and overwritten
+    if isinstance(table, CoeffTable) and table.upto >= L:
         return table.truncate(L)
     out = table_engine(tag)(n, L)
     cache_store(key, out, cache_dir)
     return out
+
+
+def cache_refresh(n: int, agreed: dict, L: int, cache_dir=None) -> list:
+    """Read each entry of index n once, in ENGINE_TAGS order.  An agreed
+    table (`agreed` maps engine tag to table) is stored unless a valid entry
+    at least L long is there, and its entry is then read back once.  Returns
+    the messages of the entries that still do not load."""
+    corrupt = []
+    for tag in ENGINE_TAGS:
+        key = (n, tag)
+        entry = _read(key, cache_dir)
+        long_enough = isinstance(entry, CoeffTable) and entry.upto >= L
+        if tag in agreed and not long_enough:
+            cache_store(key, agreed[tag], cache_dir)
+            entry = _read(key, cache_dir)
+        if isinstance(entry, CacheCorrupt):
+            corrupt.append(str(entry))
+    return corrupt
 
 
 def file_sha256(path: str) -> str:

@@ -17,15 +17,14 @@ import sys
 from mpmath import mp
 
 from . import asymptotics as asym
-from .cache import (RunManifest, atomic_write_text, cache_load, cache_store,
+from .cache import (RunManifest, atomic_write_text, cache_refresh,
                     cached_table)
-from .errors import CacheCorrupt, NotMonomialDenominator, QMetallicError
+from .errors import NotMonomialDenominator, QMetallicError
 from .identities import (check_all, conjugate_onset, conjugate_pair_check,
                          min_order)
 from .logbehaviour import classify, sign_flip_lemma_check
-from .metallic import (ENGINE_TAGS, canonical_engine_tag, hankel,
-                       kappa_values, table_engine, verify_functional_equation,
-                       verify_ode)
+from .metallic import (canonical_engine_tag, hankel, kappa_values,
+                       table_engine, verify_functional_equation, verify_ode)
 from .qnum import (cf_to_text, parse_cf, q_rational, quantize_quadratic,
                    rational_value)
 from .rna import count_grid, enumerate_structures, sign_bridge_check
@@ -59,6 +58,17 @@ def cmd_coeffs(args) -> int:
 
 def _verify_checks(n: int, L: int, cache_dir):
     """Yield (name, ok, detail) pairs for the full per-index suite."""
+    # the kappa reference comes first: a package error while it is built
+    # (or while an engine runs) is a failed engine_agreement, not a crash
+    engines = ["conv", "precurrence", "sqrt"]
+    agreement = {"engines": engines, "bad": None}
+    try:
+        want = tuple(kappa_values(n, L))
+    except QMetallicError as exc:
+        agreement.update(bad="precurrence", error=str(exc))
+        yield "engine_agreement", False, agreement
+        return
+
     fe = verify_functional_equation(n, L)
     yield "functional_equation", bool(fe), {"checked_order": fe.checked_order,
                                             "first_failure": fe.first_failure}
@@ -66,23 +76,20 @@ def _verify_checks(n: int, L: int, cache_dir):
     yield "ode", bool(ode), {"checked_order": ode.checked_order,
                              "first_failure": ode.first_failure}
 
-    # every engine runs; a table that agreed is cached unless a valid
-    # entry at least as long is there already
-    want = tuple(kappa_values(n, L))
-    bad = None
-    for tag in ("conv", "precurrence", "sqrt"):
-        table = table_engine(tag)(n, L)
-        if table.values != want:
-            bad = tag
-            break
+    # every engine runs; the tables that agreed go to the cache
+    agreed = {}
+    for tag in engines:
         try:
-            cached = cache_load((n, tag), cache_dir).upto
-        except (FileNotFoundError, CacheCorrupt):
-            cached = -1
-        if cached < L:
-            cache_store((n, tag), table, cache_dir)
-    yield "engine_agreement", bad is None, {"engines": ["conv", "precurrence",
-                                                        "sqrt"], "bad": bad}
+            table = table_engine(tag)(n, L)
+        except QMetallicError as exc:
+            agreement.update(bad=tag, error=str(exc))
+            break
+        if table.values != want:
+            agreement["bad"] = tag
+            break
+        agreed[tag] = table
+    corrupt = cache_refresh(n, agreed, L, cache_dir)
+    yield "engine_agreement", agreement["bad"] is None, agreement
 
     bad_ids = [r.identity_id for r in check_all(n, L) if not r.holds]
     yield "identities", not bad_ids, {"failed": bad_ids}
@@ -105,15 +112,7 @@ def _verify_checks(n: int, L: int, cache_dir):
         sf = sign_flip_lemma_check(min(L, 1000))
         yield "sign_flip_lemma", bool(sf), {"first_failure": sf.first_failure}
 
-    bad_files = []
-    for tag in ENGINE_TAGS:
-        try:
-            cache_load((n, tag), cache_dir)
-        except FileNotFoundError:
-            continue
-        except CacheCorrupt as exc:
-            bad_files.append(str(exc))
-    yield "cache_integrity", not bad_files, {"corrupt": bad_files}
+    yield "cache_integrity", not corrupt, {"corrupt": corrupt}
 
 
 def _print_identities(n: int, order: int, flag: str,

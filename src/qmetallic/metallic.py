@@ -20,7 +20,7 @@ import threading
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .errors import NonExactDivision, NonIntegralResult
+from .errors import NonExactDivision, NonIntegralResult, QMetallicError
 from .qnum import QuadraticForm
 from .series import LaurentSeries, monomial, poly_coeffs, zero
 
@@ -61,7 +61,7 @@ def poly_P(n: int) -> LaurentSeries:
     r = poly_R(n)
     p = r * r + monomial(4, 1)
     if p != LaurentSeries(0, [1, -1, 1]) * poly_Q(n):
-        raise AssertionError("discriminant factorization failed")
+        raise QMetallicError(f"discriminant factorization failed for n = {n}")
     return p
 
 

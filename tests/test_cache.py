@@ -3,6 +3,7 @@
 import hashlib
 import json
 import os
+import sys
 
 import pytest
 
@@ -377,3 +378,103 @@ def test_warm_coeffs_equal_cold_byte_for_byte(tmp_path, capsys, monkeypatch,
                            "--format", fmt, "--cache-dir", d)
             assert warm == cold[L], (L, d)
     assert cache_load((n, "precurrence"), longer).upto == 45
+
+
+# -- what verify reads and writes ----------------------------------------------------
+
+
+def _verify(capsys, n, d, L=60):
+    code = cli.main(["verify", "--n", str(n), "--L", str(L), "--cache-dir", d])
+    out = capsys.readouterr()
+    return code, out.out, out.err
+
+
+def _checks(out):
+    return {c["name"]: c for c in json.loads(out)["checks"]}
+
+
+def _patch_everywhere(monkeypatch, name, fn):
+    for mod_name, mod in list(sys.modules.items()):
+        if mod_name.startswith("qmetallic") and hasattr(mod, name):
+            monkeypatch.setattr(mod, name, fn)
+
+
+def test_verify_reports_a_corrupt_entry_it_does_not_write(tmp_path, capsys):
+    d = str(tmp_path)
+    assert _verify(capsys, 2, d)[0] == 0
+    p = _entry_path(d, 2, "closedform")
+    open(p, "wb").write(b"not an entry\n")
+    with pytest.raises(CacheCorrupt) as exc:
+        cache_load((2, "closedform"), d)
+    code, out, err = _verify(capsys, 2, d)
+    checks = _checks(out)
+    assert code == 1 and err == "verify: first failing check: cache_integrity\n"
+    assert [c["name"] for c in checks.values() if not c["ok"]] == [
+        "cache_integrity"]
+    assert checks["cache_integrity"]["detail"] == {"corrupt": [str(exc.value)]}
+    assert open(p, "rb").read() == b"not an entry\n"
+
+
+def test_verify_replaces_a_corrupt_entry_it_writes(tmp_path, capsys):
+    fresh, d = str(tmp_path / "fresh"), str(tmp_path / "warm")
+    cache_store((2, "conv"), metallic.coeffs_convolution(2, 60), fresh)
+    assert _verify(capsys, 2, d)[0] == 0
+    p = _entry_path(d, 2, "conv")
+    open(p, "wb").write(b"not an entry\n")
+    code, out, _ = _verify(capsys, 2, d)
+    assert code == 0
+    assert _checks(out)["cache_integrity"]["detail"] == {"corrupt": []}
+    assert open(p, "rb").read() == open(_entry_path(fresh, 2, "conv"),
+                                        "rb").read()
+
+
+def test_verify_reads_back_what_it_writes(tmp_path, capsys, monkeypatch):
+    d = str(tmp_path)
+    store = cache.cache_store
+
+    def broken(key, table, cache_dir=None):
+        path = store(key, table, cache_dir)
+        open(path, "ab").write(b"1\n")  # the hash no longer matches
+        return path
+
+    _patch_everywhere(monkeypatch, "cache_store", broken)
+    code, out, err = _verify(capsys, 1, d)
+    assert code == 1 and err == "verify: first failing check: cache_integrity\n"
+    corrupt = _checks(out)["cache_integrity"]["detail"]["corrupt"]
+    assert corrupt == [f"{_entry_path(d, 1, tag)}: sha256 mismatch"
+                       for tag in ("conv", "precurrence", "sqrt")]
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_warm_verify_equals_cold_byte_for_byte(tmp_path, capsys, n):
+    d = str(tmp_path)
+    cold = _verify(capsys, n, d)
+    assert cold[0] == 0
+    assert _verify(capsys, n, d) == cold
+
+
+def test_verify_reads_each_entry_once(tmp_path, capsys, monkeypatch):
+    d = str(tmp_path)
+    loads, stores = [], []
+    load, store = cache.cache_load, cache.cache_store
+
+    def load_spy(key, cache_dir=None):
+        loads.append(key)
+        return load(key, cache_dir)
+
+    def store_spy(key, table, cache_dir=None):
+        stores.append(key)
+        return store(key, table, cache_dir)
+
+    _patch_everywhere(monkeypatch, "cache_load", load_spy)
+    _patch_everywhere(monkeypatch, "cache_store", store_spy)
+    assert _verify(capsys, 1, d)[0] == 0
+    # cold: four misses, then a read-back of each of the three stores
+    assert len(loads) == 7 and sorted(loads) == sorted(
+        [(1, tag) for tag in metallic.ENGINE_TAGS]
+        + [(1, "conv"), (1, "precurrence"), (1, "sqrt")])
+    assert stores == [(1, "conv"), (1, "precurrence"), (1, "sqrt")]
+    del loads[:], stores[:]
+    assert _verify(capsys, 1, d)[0] == 0
+    assert loads == [(1, tag) for tag in metallic.ENGINE_TAGS]
+    assert stores == []

@@ -15,6 +15,7 @@ from qmetallic import asymptotics as asym
 from qmetallic import cli, identities, metallic, rna, series
 from qmetallic.cache import cache_load
 from qmetallic.cli import main
+from qmetallic.errors import BranchMismatch
 from qmetallic.identities import IDENTITY_IDS
 from qmetallic.metallic import kappa_values
 
@@ -308,6 +309,62 @@ def test_verify_never_shrinks_a_longer_cached_table(capsys, tmp_path):
     assert run(capsys, "verify", "--n", "2", "--L", "60", "--cache-dir", d)[0] == 0
     assert cache_load((2, "conv"), d).upto == 200
     assert cache_load((2, "sqrt"), d).upto == 60
+
+
+_ENGINES = ["conv", "precurrence", "sqrt"]
+
+
+def test_verify_reports_a_failing_recurrence(capsys, monkeypatch, tmp_path):
+    spec = metallic.recurrence_spec
+
+    def bumped(n):
+        s = spec(n)
+        (a0, b0), *rest = s.coeff_polys
+        return metallic.RecurrenceSpec(s.n, s.order, s.valid_from,
+                                       ((a0, b0 + 1), *rest))
+
+    monkeypatch.setattr(metallic, "_tables", {})
+    monkeypatch.setattr(metallic, "recurrence_spec", bumped)
+    code, out, err = run(capsys, "verify", "--n", "1", "--L", "120",
+                         "--cache-dir", str(tmp_path))
+    assert code == 1 and err == "verify: first failing check: engine_agreement\n"
+    assert json.loads(out)["checks"] == [{
+        "name": "engine_agreement", "ok": False,
+        "detail": {"engines": _ENGINES, "bad": "precurrence",
+                   "error": "recurrence step at exponent 4 is not "
+                            "divisible by 6"}}]
+    assert os.listdir(tmp_path) == []
+
+
+def test_verify_reports_an_engine_error(capsys, monkeypatch, tmp_path):
+    def refuse(n, L):
+        raise BranchMismatch("no branch")
+
+    monkeypatch.setattr(metallic, "coeffs_sqrt", refuse)
+    code, out, err = run(capsys, "verify", "--n", "2", "--L", "60",
+                         "--cache-dir", str(tmp_path))
+    checks = {c["name"]: c for c in json.loads(out)["checks"]}
+    assert code == 1 and err == "verify: first failing check: engine_agreement\n"
+    assert checks["engine_agreement"]["detail"] == {
+        "engines": _ENGINES, "bad": "sqrt", "error": "no branch"}
+    assert sorted(os.listdir(tmp_path)) == ["coeffs-n2-conv.txt",
+                                            "coeffs-n2-precurrence.txt"]
+
+
+def test_factorization_failure_is_a_package_error(capsys, monkeypatch,
+                                                  tmp_path):
+    poly_Q = metallic.poly_Q
+    monkeypatch.setattr(metallic, "_tables", {})
+    monkeypatch.setattr(metallic, "poly_Q",
+                        lambda n: poly_Q(n) + series.monomial(1, 1))
+    message = "discriminant factorization failed for n = 1"
+    code, out, err = run(capsys, "coeffs", "--n", "1", "--L", "20",
+                         "--cache-dir", str(tmp_path))
+    assert (code, out, err) == (2, "", f"coeffs: {message}\n")
+    code, out, err = run(capsys, "verify", "--n", "1", "--L", "60",
+                         "--cache-dir", str(tmp_path))
+    assert code == 1 and err == "verify: first failing check: engine_agreement\n"
+    assert json.loads(out)["checks"][0]["detail"]["error"] == message
 
 
 # -- asymptotics, radius, tables ----------------------------------------------------
