@@ -55,6 +55,8 @@ COMMANDS = [
     ["rna", "grid", "--max-size", "40", "--max-rank", "3"],
     ["rna", "count", "--size", "10", "--format", "csv"],
     ["quantize", "--cf", "3;(1,2,5)*"],
+    ["coeffs", "--n", "7", "--L", "80"],
+    ["coeffs", "--n", "12", "--L", "60", "--format", "csv"],
 ]
 
 

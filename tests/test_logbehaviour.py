@@ -2,6 +2,7 @@
 
 import pytest
 
+from qmetallic import logbehaviour
 from qmetallic.logbehaviour import (
     CLASSIFICATIONS,
     LogReport,
@@ -12,6 +13,7 @@ from qmetallic.logbehaviour import (
     sign_flip_lemma_check,
 )
 from qmetallic.metallic import kappa_values
+from qmetallic.rna import rna_recurrence
 
 
 def test_second_differences_hand_values():
@@ -96,3 +98,21 @@ def test_sign_flip_lemma():
 def test_sign_flip_lemma_precondition():
     with pytest.raises(ValueError):
         sign_flip_lemma_check(9)
+
+
+def _counts_with_dip(m):
+    a = rna_recurrence(m)
+    a[50] = a[49]                       # a_50/a_49 = 1 dips below a_49/a_48
+    return a
+
+
+def _geometric(m):
+    return [3 ** i for i in range(m)]   # every ratio a_l/a_(l-1) is 3
+
+
+@pytest.mark.parametrize("counts", [_counts_with_dip, _geometric],
+                         ids=["ratio-dip", "geometric"])
+def test_sign_flip_lemma_fails_without_rising_ratios(counts, monkeypatch):
+    monkeypatch.setattr(logbehaviour, "rna_recurrence", counts)
+    res = sign_flip_lemma_check(200)
+    assert not res and res.first_failure == 6 and res.checked_order == 200
