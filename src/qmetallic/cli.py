@@ -23,7 +23,7 @@ from .errors import NotMonomialDenominator, QMetallicError
 from .identities import (check_all, conjugate_onset, conjugate_pair_check,
                          min_order)
 from .logbehaviour import classify, sign_flip_lemma_check
-from .metallic import (canonical_engine_tag, hankel, kappa_values,
+from .metallic import (canonical_engine_tag, coeffs_p_recurrence, hankel,
                        table_engine, verify_functional_equation, verify_ode)
 from .qnum import (cf_to_text, parse_cf, q_rational, quantize_quadratic,
                    rational_value)
@@ -58,12 +58,13 @@ def cmd_coeffs(args) -> int:
 
 def _verify_checks(n: int, L: int, cache_dir):
     """Yield (name, ok, detail) pairs for the full per-index suite."""
-    # the kappa reference comes first: a package error while it is built
-    # (or while an engine runs) is a failed engine_agreement, not a crash
-    engines = ["conv", "precurrence", "sqrt"]
-    agreement = {"engines": engines, "bad": None}
+    # the recurrence table is the kappa reference and comes first: a package
+    # error while it is built (or while an engine runs) is a failed
+    # engine_agreement, not a crash
+    engines = ["conv", "sqrt"]
+    agreement = {"reference": "precurrence", "engines": engines, "bad": None}
     try:
-        want = tuple(kappa_values(n, L))
+        reference = coeffs_p_recurrence(n, L)
     except QMetallicError as exc:
         agreement.update(bad="precurrence", error=str(exc))
         yield "engine_agreement", False, agreement
@@ -76,7 +77,8 @@ def _verify_checks(n: int, L: int, cache_dir):
     yield "ode", bool(ode), {"checked_order": ode.checked_order,
                              "first_failure": ode.first_failure}
 
-    # every engine runs; the tables that agreed go to the cache
+    # every engine runs; the tables that agreed go to the cache, and the
+    # reference with them once an engine has confirmed it
     agreed = {}
     for tag in engines:
         try:
@@ -84,10 +86,12 @@ def _verify_checks(n: int, L: int, cache_dir):
         except QMetallicError as exc:
             agreement.update(bad=tag, error=str(exc))
             break
-        if table.values != want:
+        if table.values != reference.values:
             agreement["bad"] = tag
             break
         agreed[tag] = table
+    if agreed:
+        agreed["precurrence"] = reference
     corrupt = cache_refresh(n, agreed, L, cache_dir)
     yield "engine_agreement", agreement["bad"] is None, agreement
 

@@ -7,6 +7,10 @@ class QMetallicError(Exception):
     """Base class for every error raised by this package."""
 
 
+class BadTable(QMetallicError, ValueError):
+    """A coefficient table has the wrong length or breaks the series prefix."""
+
+
 class ZeroSeries(QMetallicError):
     """A series that is identically zero up to its order cannot be inverted."""
 

@@ -20,7 +20,8 @@ import threading
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .errors import NonExactDivision, NonIntegralResult, QMetallicError
+from .errors import (BadTable, NonExactDivision, NonIntegralResult,
+                     QMetallicError)
 from .qnum import QuadraticForm
 from .series import LaurentSeries, monomial, poly_coeffs, zero
 
@@ -85,12 +86,12 @@ class CoeffTable:
             raise ValueError(f"unknown engine tag {engine!r}")
         held = text if values is None else values
         if len(held) != upto:
-            raise ValueError("length does not match upto")
+            raise BadTable("length does not match upto")
         head = [int(c) for c in held[: 2 * n + 1]]
         if head[: n + 1] != [1] * min(n, upto) + ([0] if upto > n else []):
-            raise ValueError("series must start with n ones then a zero")
+            raise BadTable("series must start with n ones then a zero")
         if upto > 2 * n and head[2 * n] != 1:
-            raise ValueError("coefficient at exponent 2n must be 1")
+            raise BadTable("coefficient at exponent 2n must be 1")
         self.n, self.upto, self.engine = n, upto, engine
         self._values = None if values is None else tuple(values)
         self._text = None if text is None else tuple(text)
@@ -145,18 +146,14 @@ class RecurrenceSpec:
 
 def recurrence_spec(n: int) -> RecurrenceSpec:
     """Polynomial-coefficient recurrence satisfied by the coefficients from
-    l = 2n+2 on; lag-j coefficient is p_j (2l + 2 - 3j) (halved for n <= 2),
-    with p_j the discriminant coefficients."""
+    l = 2n+2 on; lag-j coefficient is p_j (2l + 2 - 3j) / 2, with p_j the
+    discriminant coefficients.  The halving is exact: (2 - 3j) is even at
+    even j, and p_j is even at odd j, as P = R^2 + 4q = R(q^2) mod 2."""
     n = _check_n(n)
     p = poly_P(n)
-    pairs = []
-    for j in range(2 * n + 3):
-        a, b = 2 * p[j], (2 - 3 * j) * p[j]
-        if n <= 2:
-            a, b = a // 2, b // 2
-        pairs.append((a, b))
+    pairs = tuple((p[j], (2 - 3 * j) * p[j] // 2) for j in range(2 * n + 3))
     return RecurrenceSpec(n=n, order=2 * n + 2, valid_from=2 * n + 2,
-                          coeff_polys=tuple(pairs))
+                          coeff_polys=pairs)
 
 
 def _conv_values(n: int, L: int) -> list:
@@ -464,6 +461,7 @@ def canonical_engine_tag(tag: str) -> str:
 
 
 def table_engine(tag: str):
+    # built per call, so an engine replaced on this module is the one used
     engines = {
         "conv": coeffs_convolution,
         "precurrence": coeffs_p_recurrence,

@@ -311,7 +311,7 @@ def test_verify_never_shrinks_a_longer_cached_table(capsys, tmp_path):
     assert cache_load((2, "sqrt"), d).upto == 60
 
 
-_ENGINES = ["conv", "precurrence", "sqrt"]
+_NAMES = {"reference": "precurrence", "engines": ["conv", "sqrt"]}
 
 
 def test_verify_reports_a_failing_recurrence(capsys, monkeypatch, tmp_path):
@@ -330,7 +330,7 @@ def test_verify_reports_a_failing_recurrence(capsys, monkeypatch, tmp_path):
     assert code == 1 and err == "verify: first failing check: engine_agreement\n"
     assert json.loads(out)["checks"] == [{
         "name": "engine_agreement", "ok": False,
-        "detail": {"engines": _ENGINES, "bad": "precurrence",
+        "detail": {**_NAMES, "bad": "precurrence",
                    "error": "recurrence step at exponent 4 is not "
                             "divisible by 6"}}]
     assert os.listdir(tmp_path) == []
@@ -346,9 +346,51 @@ def test_verify_reports_an_engine_error(capsys, monkeypatch, tmp_path):
     checks = {c["name"]: c for c in json.loads(out)["checks"]}
     assert code == 1 and err == "verify: first failing check: engine_agreement\n"
     assert checks["engine_agreement"]["detail"] == {
-        "engines": _ENGINES, "bad": "sqrt", "error": "no branch"}
+        **_NAMES, "bad": "sqrt", "error": "no branch"}
     assert sorted(os.listdir(tmp_path)) == ["coeffs-n2-conv.txt",
                                             "coeffs-n2-precurrence.txt"]
+
+
+def _off_at_2n(values):
+    """A table builder whose result has kappa_(2n) off by one."""
+    def broken(n, L):
+        vals = list(values(n, L))
+        vals[2 * n] += 1
+        return vals
+    return broken
+
+
+def test_verify_reports_a_broken_engine_table(capsys, monkeypatch, tmp_path):
+    monkeypatch.setattr(metallic, "_conv_values",
+                        _off_at_2n(metallic._conv_values))
+    code, out, err = run(capsys, "verify", "--n", "2", "--L", "60",
+                         "--cache-dir", str(tmp_path))
+    checks = {c["name"]: c for c in json.loads(out)["checks"]}
+    assert code == 1 and err == "verify: first failing check: engine_agreement\n"
+    assert checks["engine_agreement"]["detail"] == {
+        **_NAMES, "bad": "conv",
+        "error": "coefficient at exponent 2n must be 1"}
+    assert os.listdir(tmp_path) == []
+
+
+def test_verify_reports_a_broken_reference_table(capsys, monkeypatch,
+                                                 tmp_path):
+    monkeypatch.setattr(metallic, "kappa_values",
+                        _off_at_2n(metallic.kappa_values))
+    code, out, err = run(capsys, "verify", "--n", "2", "--L", "60",
+                         "--cache-dir", str(tmp_path))
+    assert code == 1 and err == "verify: first failing check: engine_agreement\n"
+    assert json.loads(out)["checks"] == [{
+        "name": "engine_agreement", "ok": False,
+        "detail": {**_NAMES, "bad": "precurrence",
+                   "error": "coefficient at exponent 2n must be 1"}}]
+    assert os.listdir(tmp_path) == []
+
+
+def test_verify_index_zero_is_a_usage_error(capsys, tmp_path):
+    # BadTable is a package error; a bad index is still a ValueError
+    assert run(capsys, "verify", "--n", "0", "--L", "60", "--cache-dir",
+               str(tmp_path)) == (2, "", "verify: metallic index must be >= 1\n")
 
 
 def test_factorization_failure_is_a_package_error(capsys, monkeypatch,

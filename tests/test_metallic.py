@@ -165,6 +165,17 @@ def test_recurrence_spec_shape():
         assert max(spec.nonzero_lags()) <= spec.order
 
 
+def test_recurrence_has_one_scale():
+    # every pair is halved, so the lag-0 pair is (p_0, p_0) = (1, 1)
+    for n in range(1, 49):
+        assert recurrence_spec(n).coeff_polys[0] == (1, 1), n
+
+
+def test_recurrence_matches_convolution_past_the_acceptance_range():
+    for n in range(26, 49):
+        assert kappa_values(n, 300) == list(coeffs_convolution(n, 300).values), n
+
+
 def test_recurrence_annihilates_the_sequence():
     for n in (1, 2, 4):
         spec = recurrence_spec(n)
