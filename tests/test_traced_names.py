@@ -3,8 +3,9 @@
 The benchmark's tracer (perfbench/spans.py) wraps qmetallic functions named
 in its TARGETS table and only reports span names that found no function.
 Several targets share a span name, so a renamed function can hide behind
-another.  This test reads TARGETS from the tracer's source, without
-importing or compiling it in place, and resolves every target on its own.
+another.  This test reads TARGETS from the tracer's source without
+importing it, so nothing is written next to it, and resolves every target
+on its own.
 """
 
 import importlib
