@@ -57,6 +57,11 @@ COMMANDS = [
     ["quantize", "--cf", "3;(1,2,5)*"],
     ["coeffs", "--n", "7", "--L", "80"],
     ["coeffs", "--n", "12", "--L", "60", "--format", "csv"],
+    ["coeffs", "--n", "1", "--L", "0"],
+    ["coeffs", "--n", "3", "--L", "5"],
+    ["coeffs", "--n", "5", "--L", "200"],
+    ["coeffs", "--n", "1", "--L", "11000"],
+    ["coeffs", "--n", "2", "--L", "3000", "--format", "csv"],
 ]
 
 
