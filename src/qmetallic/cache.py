@@ -33,7 +33,7 @@ from datetime import datetime, timezone
 
 from .errors import CacheCorrupt
 from .metallic import (ENGINE_TAGS, CoeffTable, _check_n,
-                       canonical_engine_tag, table_engine)
+                       canonical_engine_tag, kappa_text, table_engine)
 
 FORMAT_VERSION = 3
 ENV_CACHE_DIR = "QMETALLIC_CACHE_DIR"
@@ -58,14 +58,16 @@ def _cache_path(key, cache_dir) -> str:
     return os.path.join(cache_directory(cache_dir), f"coeffs-n{n}-{engine}.txt")
 
 
-def atomic_write_text(path: str, text: str) -> None:
-    """Write via a same-directory temp file and atomic rename."""
+def atomic_write(path: str, *parts: bytes) -> None:
+    """Write the parts in order via a same-directory temp file and atomic
+    rename."""
     d = os.path.dirname(os.path.abspath(path))
     os.makedirs(d, exist_ok=True)
     fd, tmp = tempfile.mkstemp(dir=d, prefix=".tmp-", suffix=".part")
     try:
-        with os.fdopen(fd, "w") as fh:
-            fh.write(text)
+        with os.fdopen(fd, "wb") as fh:
+            for part in parts:
+                fh.write(part)
         os.replace(tmp, path)
     except BaseException:
         try:
@@ -79,11 +81,11 @@ def cache_store(key, table: CoeffTable, cache_dir=None) -> str:
     """Persist a coefficient table under (n, engine); returns the path."""
     n, engine = key
     assert table.n == n
-    body = "\n".join(table.text + ("",))
+    body = "\n".join(table.text + ("",)).encode("ascii")
     header = {"format_version": FORMAT_VERSION, "n": n, "engine": engine,
-              "sha256": hashlib.sha256(body.encode("ascii")).hexdigest()}
+              "sha256": hashlib.sha256(body).hexdigest()}
     path = _cache_path(key, cache_dir)
-    atomic_write_text(path, json.dumps(header) + "\n" + body)
+    atomic_write(path, (json.dumps(header) + "\n").encode("ascii"), body)
     return path
 
 
@@ -126,14 +128,19 @@ def _read(key, cache_dir):
 def cached_table(n: int, L: int, engine: str = "precurrence",
                  cache_dir=None) -> CoeffTable:
     """Cache-backed table: load it, or, when the entry is absent, short or
-    bad, compute it with its own engine and store it."""
+    bad, compute it with its own engine and store it.  The recurrence
+    engine's table is computed as decimal text (kappa_text), since it is
+    printed and stored, never read as ints."""
     n = _check_n(n)
     tag = canonical_engine_tag(engine)
     key = (n, tag)
     table = _read(key, cache_dir)  # a bad file is recomputed and overwritten
     if isinstance(table, CoeffTable) and table.upto >= L:
         return table.truncate(L)
-    out = table_engine(tag)(n, L)
+    if tag == "precurrence":
+        out = CoeffTable(n, L, None, tag, text=kappa_text(n, L))
+    else:
+        out = table_engine(tag)(n, L)
     cache_store(key, out, cache_dir)
     return out
 
@@ -190,5 +197,6 @@ class RunManifest:
             "outputs": self.outputs,
         }
         mpath = out_path + ".manifest.json"
-        atomic_write_text(mpath, json.dumps(doc, indent=1, sort_keys=True) + "\n")
+        atomic_write(mpath, (json.dumps(doc, indent=1, sort_keys=True)
+                             + "\n").encode("ascii"))
         return mpath

@@ -17,8 +17,7 @@ import sys
 from mpmath import mp
 
 from . import asymptotics as asym
-from .cache import (RunManifest, atomic_write_text, cache_refresh,
-                    cached_table)
+from .cache import RunManifest, atomic_write, cache_refresh, cached_table
 from .errors import NotMonomialDenominator, QMetallicError
 from .identities import (check_all, conjugate_onset, conjugate_pair_check,
                          min_order)
@@ -45,14 +44,20 @@ def cmd_coeffs(args) -> int:
     if tag == "closedform" and args.n > 3:
         return _fail("coeffs: engine 'closed' requires n <= 3 "
                      "(closed-form sums exist for the first three indices only)")
-    table = cached_table(args.n, args.L, tag, args.cache_dir)
-    # the series exchange form: every table starts at q^0 with kappa_0 = 1
+    text = cached_table(args.n, args.L, tag, args.cache_dir).text
+    out = sys.stdout
     if args.format == "json":
-        _out(json.dumps({"valuation": 0, "order": table.upto,
-                         "coeffs": list(table.text)}, indent=1))
+        # the series exchange form (every table starts at q^0 with
+        # kappa_0 = 1) as json.dumps(..., indent=1) prints it, written in
+        # pieces: canonical decimal text needs no escaping, only quotes
+        opening, closing = ('[\n  "', '"\n ]') if text else ("[", "]")
+        out.write(f'{{\n "valuation": 0,\n "order": {len(text)},\n'
+                  f' "coeffs": {opening}')
+        out.write('",\n  "'.join(text))
+        out.write(closing + "\n}\n")
     else:
-        _out("\n".join(["l,kappa"] + [f"{l},{c}"
-                                      for l, c in enumerate(table.text)]))
+        out.write("l,kappa\n")
+        out.writelines(f"{l},{c}\n" for l, c in enumerate(text))
     return 0
 
 
@@ -183,8 +188,8 @@ def cmd_tables(args) -> int:
         n = asym.TABLE_INDEX[name]
         rows = asym.ratio_table(n, asym.TABLE_LS, args.precision_bits)
         path = os.path.join(args.out_dir, f"{name}.csv")
-        atomic_write_text(
-            path, "l,ratio\n" + "\n".join(f"{l},{v}" for l, v in rows) + "\n")
+        text = "l,ratio\n" + "\n".join(f"{l},{v}" for l, v in rows) + "\n"
+        atomic_write(path, text.encode("ascii"))
         manifest = RunManifest(
             command="tables",
             parameters={"which": name, "n": n, "L": list(asym.TABLE_LS),

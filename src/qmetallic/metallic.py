@@ -15,6 +15,7 @@ and closed-form binomial sums for n = 1, 2, 3.
 
 from __future__ import annotations
 
+import decimal
 import math
 import threading
 from dataclasses import dataclass
@@ -176,7 +177,8 @@ def _conv_values(n: int, L: int) -> list:
 
 def _p_extend(n: int, vals: list, L: int) -> list:
     """Extend a table in place to length L using the polynomial recurrence.
-    Needs len(vals) >= valid_from."""
+    Needs len(vals) >= valid_from.  The number type is the seeds': int, or
+    Decimal in an exact context (see kappa_text)."""
     spec = recurrence_spec(n)
     if len(vals) < spec.valid_from:
         raise ValueError("not enough seed values to run the recurrence")
@@ -328,8 +330,7 @@ def _seed_values(n: int) -> list:
 
 
 def kappa_values(n: int, L: int) -> list:
-    """First L coefficients, grown per index in-process: the one place the
-    recurrence runs."""
+    """First L coefficients as ints, grown per index in-process."""
     n = _check_n(n)
     if L < 0:
         raise ValueError("number of coefficients must be >= 0")
@@ -341,6 +342,28 @@ def kappa_values(n: int, L: int) -> list:
             if len(vals) < L:
                 _p_extend(n, vals, L)
         return vals[:L]
+
+
+# integer arithmetic in Decimal: a result that would round, or a quotient
+# past the precision, raises instead
+_EXACT = decimal.Context(
+    prec=decimal.MAX_PREC, Emax=decimal.MAX_EMAX, Emin=decimal.MIN_EMIN,
+    traps=[decimal.Inexact, decimal.Rounded, decimal.InvalidOperation,
+           decimal.DivisionByZero, decimal.Overflow])
+
+
+def kappa_text(n: int, L: int) -> tuple:
+    """str of each of the first L coefficients, from the recurrence run on
+    Decimal seeds.  No step may round, so every step is exact and a
+    non-exact division still raises NonExactDivision.  libmpdec holds base
+    10^19 digits, so this str is linear where str of an int is quadratic;
+    int(Decimal) is not cheap, so the int store serves everything else."""
+    n = _check_n(n)
+    vals = [decimal.Decimal(v) for v in kappa_values(n, min(L, 2 * n + 2))]
+    if len(vals) < L:
+        with decimal.localcontext(_EXACT):
+            _p_extend(n, vals, L)
+    return tuple(map(str, vals))
 
 
 def kappa(n: int, l: int) -> int:

@@ -13,7 +13,7 @@ from qmetallic.cache import (
     ENV_CACHE_DIR,
     FORMAT_VERSION,
     RunManifest,
-    atomic_write_text,
+    atomic_write,
     cache_directory,
     cache_load,
     cache_store,
@@ -210,8 +210,8 @@ def test_cache_directory_precedence(tmp_path, monkeypatch):
 
 def test_atomic_write_leaves_no_droppings(tmp_path):
     p = str(tmp_path / "out.txt")
-    atomic_write_text(p, "payload")
-    assert open(p).read() == "payload"
+    atomic_write(p, b"pay", b"load")
+    assert open(p, "rb").read() == b"payload"
     assert os.listdir(str(tmp_path)) == ["out.txt"]
 
 
@@ -368,10 +368,11 @@ def test_warm_coeffs_equal_cold_byte_for_byte(tmp_path, capsys, monkeypatch,
     longer = str(tmp_path / "longer")
     _coeffs(capsys, "--n", str(n), "--L", "45", "--cache-dir", longer)
 
-    def refuse(tag):
-        raise AssertionError(f"engine {tag!r} ran on a cache hit")
+    def refuse(*args):
+        raise AssertionError(f"an engine ran on a cache hit: {args}")
 
     monkeypatch.setattr(cache, "table_engine", refuse)
+    monkeypatch.setattr(cache, "kappa_text", refuse)
     for L in lengths:
         for d in (str(tmp_path / f"cold{L}"), longer):  # exact, then cut
             warm = _coeffs(capsys, "--n", str(n), "--L", str(L),

@@ -91,6 +91,22 @@ def test_coeffs_past_the_int_str_digit_limit(capsys, tmp_path):
     assert _digit_limit() == before
 
 
+@pytest.mark.parametrize("n", [1, 2, 5])
+def test_cold_and_warm_coeffs_print_the_reference_bytes(capsys, tmp_path, n):
+    # the reference is json.dumps and a joined CSV of str of the int store
+    L, d = 3000, str(tmp_path)
+    text = [str(v) for v in kappa_values(n, L)]
+    want = {"json": json.dumps({"valuation": 0, "order": L, "coeffs": text},
+                               indent=1) + "\n",
+            "csv": "l,kappa\n" + "".join(f"{l},{c}\n"
+                                         for l, c in enumerate(text))}
+    for fmt in ("json", "csv"):
+        for _ in ("cold", "warm"):
+            assert run(capsys, "coeffs", "--n", str(n), "--L", str(L),
+                       "--format", fmt, "--cache-dir", d) == (0, want[fmt], "")
+        os.remove(os.path.join(d, f"coeffs-n{n}-precurrence.txt"))
+
+
 @pytest.mark.parametrize("argv", [
     ["coeffs", "--n", "1", "--L", "-3"],
     ["verify", "--n", "1", "--L", "-1"],
@@ -314,17 +330,20 @@ def test_verify_never_shrinks_a_longer_cached_table(capsys, tmp_path):
 _NAMES = {"reference": "precurrence", "engines": ["conv", "sqrt"]}
 
 
-def test_verify_reports_a_failing_recurrence(capsys, monkeypatch, tmp_path):
-    spec = metallic.recurrence_spec
-
+def _bumped(spec):
+    """A recurrence_spec whose lag-0 coefficient is one too large."""
     def bumped(n):
         s = spec(n)
         (a0, b0), *rest = s.coeff_polys
         return metallic.RecurrenceSpec(s.n, s.order, s.valid_from,
                                        ((a0, b0 + 1), *rest))
+    return bumped
 
+
+def test_verify_reports_a_failing_recurrence(capsys, monkeypatch, tmp_path):
     monkeypatch.setattr(metallic, "_tables", {})
-    monkeypatch.setattr(metallic, "recurrence_spec", bumped)
+    monkeypatch.setattr(metallic, "recurrence_spec",
+                        _bumped(metallic.recurrence_spec))
     code, out, err = run(capsys, "verify", "--n", "1", "--L", "120",
                          "--cache-dir", str(tmp_path))
     assert code == 1 and err == "verify: first failing check: engine_agreement\n"
@@ -333,6 +352,17 @@ def test_verify_reports_a_failing_recurrence(capsys, monkeypatch, tmp_path):
         "detail": {**_NAMES, "bad": "precurrence",
                    "error": "recurrence step at exponent 4 is not "
                             "divisible by 6"}}]
+    assert os.listdir(tmp_path) == []
+
+
+def test_coeffs_reports_a_failing_recurrence(capsys, monkeypatch, tmp_path):
+    # the decimal run of the recurrence checks each division as the int run
+    monkeypatch.setattr(metallic, "_tables", {})
+    monkeypatch.setattr(metallic, "recurrence_spec",
+                        _bumped(metallic.recurrence_spec))
+    assert run(capsys, "coeffs", "--n", "1", "--L", "120", "--cache-dir",
+               str(tmp_path)) == (2, "", "coeffs: recurrence step at exponent "
+                                         "4 is not divisible by 6\n")
     assert os.listdir(tmp_path) == []
 
 

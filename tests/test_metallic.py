@@ -3,6 +3,7 @@
 import pytest
 
 from qmetallic import metallic
+from qmetallic.cache import _CANONICAL_LINES
 from qmetallic.series import (LaurentSeries, monomial, poly_coeffs, reversal,
                               series_sqrt)
 from qmetallic.qnum import q_integer
@@ -17,6 +18,7 @@ from qmetallic.metallic import (
     closed_form_golden,
     hankel,
     kappa,
+    kappa_text,
     kappa_values,
     multinomial,
     phi_series,
@@ -139,6 +141,24 @@ def test_store_never_runs_the_convolution_engine(monkeypatch):
     for n in (1, 2, 3):
         assert kappa_values(n, 60) == list(coeffs_closed_form(n, 60).values)
     assert kappa_values(3000, 3) == [1, 1, 1]
+
+
+@pytest.mark.parametrize("n", range(1, 49))
+def test_kappa_text_is_str_of_the_int_store(n):
+    # the Decimal run of the recurrence prints what str prints of the ints,
+    # with no "-0" and no exponent form
+    for L in sorted({0, 1, n, 2 * n + 1, 2 * n + 2, 2 * n + 3, 400}):
+        text = kappa_text(n, L)
+        assert text == tuple(map(str, kappa_values(n, L))), L
+        assert _CANONICAL_LINES.fullmatch("".join(t + "\n" for t in text)
+                                          .encode("ascii")), L
+
+
+def test_kappa_text_rejects_what_kappa_values_rejects():
+    with pytest.raises(ValueError):
+        kappa_text(1, -1)
+    with pytest.raises(ValueError):
+        kappa_text(0, 5)
 
 
 def test_hankel_checks_the_index_before_the_empty_case():
