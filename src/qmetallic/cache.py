@@ -129,8 +129,8 @@ def cached_table(n: int, L: int, engine: str = "precurrence",
                  cache_dir=None) -> CoeffTable:
     """Cache-backed table: load it, or, when the entry is absent, short or
     bad, compute it with its own engine and store it.  The recurrence
-    engine's table is computed as decimal text (kappa_text), since it is
-    printed and stored, never read as ints."""
+    engine's table is computed as decimal text (kappa_text): coeffs prints
+    it and the cache stores it as text, and str of a large int is slow."""
     n = _check_n(n)
     tag = canonical_engine_tag(engine)
     key = (n, tag)
