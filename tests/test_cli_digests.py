@@ -62,6 +62,9 @@ COMMANDS = [
     ["coeffs", "--n", "5", "--L", "200"],
     ["coeffs", "--n", "1", "--L", "11000"],
     ["coeffs", "--n", "2", "--L", "3000", "--format", "csv"],
+    ["verify", "--n", "6", "--L", "450"],
+    ["coeffs", "--n", "1", "--L", "600", "--engine", "conv"],
+    ["coeffs", "--n", "2", "--L", "500", "--engine", "sqrt"],
 ]
 
 

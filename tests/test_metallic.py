@@ -230,6 +230,22 @@ def test_functional_equation_small():
         assert res and res.checked_order == 120
 
 
+@pytest.mark.parametrize("n", [1, 2, 5])
+def test_functional_equation_finds_a_bumped_coefficient(n, monkeypatch):
+    # kappa_40 one too large moves q F^2 - R F - 1 by q^40 (2qF - R), whose
+    # lowest term is -R_0 q^40 = q^40: the first failure is exponent 40
+    series = metallic.phi_series
+
+    def bumped(n, L):
+        vals = list(series(n, L).coefficients(0, L))
+        vals[40] += 1
+        return LaurentSeries(0, vals, L)
+
+    monkeypatch.setattr(metallic, "phi_series", bumped)
+    res = verify_functional_equation(n, 120)
+    assert not res and res.first_failure == 40 and res.checked_order == 120
+
+
 def test_ode_small():
     for n in (1, 2, 5):
         res = verify_ode(n, 120)
