@@ -24,7 +24,7 @@ from fractions import Fraction
 from .errors import (BadTable, NonExactDivision, NonIntegralResult,
                      QMetallicError)
 from .qnum import QuadraticForm
-from .series import LaurentSeries, monomial, poly_coeffs, zero
+from .series import LaurentSeries, _square_sum, monomial, poly_coeffs, zero
 
 ENGINE_TAGS = ("conv", "precurrence", "closedform", "sqrt")
 
@@ -158,15 +158,13 @@ def recurrence_spec(n: int) -> RecurrenceSpec:
 
 
 def _conv_values(n: int, L: int) -> list:
-    """Coefficients 0..L-1 from the quadratic equation by convolution."""
+    """Coefficients 0..L-1 from the quadratic equation, each from the
+    coefficient [q^(l-1)] F^2 of the ones before it (series._square_sum)."""
     rc = poly_coeffs(poly_R(n))  # rc[0] == -1
     seeds = [1] * n + [0]
     vals = seeds[:L]
     for l in range(len(vals), L):
-        conv = 0
-        for i in range(l):  # [q^(l-1)] F^2
-            conv += vals[i] * vals[l - 1 - i]
-        acc = -conv
+        acc = -_square_sum(vals, l - 1)
         for j in range(1, min(l, len(rc) - 1) + 1):
             cj = rc[j]
             if cj:

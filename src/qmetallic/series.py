@@ -190,6 +190,9 @@ class LaurentSeries:
             return other.shift(va)
         order = min(self.order + vb, other.order + va)
         n = len(a) + len(b) - 1 if order == INF else int(order) - (va + vb)
+        if self is other:
+            return LaurentSeries(2 * va, [_square_sum(a, k) for k in range(n)],
+                                 order)
         return LaurentSeries(va + vb, _convolve(a, b, n), order)
 
     __rmul__ = __mul__
@@ -262,9 +265,21 @@ def series_mul(a: LaurentSeries, b: LaurentSeries) -> LaurentSeries:
     return a * b
 
 
+def _square_sum(x: Sequence, k: int, lo: int = 0):
+    """sum_{lo <= i <= k-lo} x_i x_(k-i), entries past the end of x counting
+    as zero: each pair i < k - i multiplied once and doubled, plus the middle
+    square when k is even.  Every square of a series goes through here."""
+    lo = max(lo, k - len(x) + 1)
+    s = 2 * sum(map(operator.mul, x[lo:(k + 1) // 2], x[k - lo:k // 2:-1]))
+    if k & 1 == 0 and lo <= k // 2:
+        s += x[k // 2] ** 2
+    return s
+
+
 def _convolve(a: Sequence, b: Sequence, n: int) -> list:
-    """First n coefficients of a * b, skipping zero coefficients: the one
-    schoolbook product loop of series and polynomials."""
+    """First n coefficients of a * b for distinct operands, skipping zero
+    coefficients: the schoolbook product loop of series and polynomials (a
+    square goes through _square_sum)."""
     out = [0] * n
     lb = len(b)
     for i in range(min(len(a), n)):
@@ -338,9 +353,9 @@ def series_sqrt(a: LaurentSeries, target_order: int) -> LaurentSeries:
     """Square root of a unit series with constant term 1, modulo q^target_order.
 
     One triangular recurrence, x_0 = 1 and 2 x_k = a_k - sum_{0<i<k} x_i
-    x_(k-i), each pair i < k - i counted once and doubled; an exact a
-    shorter than the target counts as zero-padded.  Every x_k is exact, so
-    integer input with an integral root never leaves the integers.
+    x_(k-i), the half-sum of _square_sum with lo = 1; an exact a shorter
+    than the target counts as zero-padded.  Every x_k is exact, so integer
+    input with an integral root never leaves the integers.
     """
     if target_order < 1:
         raise ValueError("target_order must be >= 1")
@@ -353,10 +368,7 @@ def series_sqrt(a: LaurentSeries, target_order: int) -> LaurentSeries:
     awin = a.coefficients(0, target_order)
     x = [1]
     for k in range(1, target_order):
-        s = 2 * sum(map(operator.mul, x[1:(k + 1) // 2], x[k - 1:k // 2:-1]))
-        if k & 1 == 0:
-            s += x[k // 2] ** 2
-        x.append(_half(awin[k] - s))
+        x.append(_half(awin[k] - _square_sum(x, k, 1)))
     return LaurentSeries(0, x, target_order)
 
 

@@ -417,6 +417,49 @@ def test_verify_reports_a_broken_reference_table(capsys, monkeypatch,
     assert os.listdir(tmp_path) == []
 
 
+def _drop_middle_square(monkeypatch):
+    """Patch the shared square kernel to leave out x_(k/2)^2."""
+    def pairs_only(x, k, lo=0):
+        lo = max(lo, k - len(x) + 1)
+        return 2 * sum(x[i] * x[k - i] for i in range(lo, (k + 1) // 2))
+
+    for mod in (series, metallic):
+        monkeypatch.setattr(mod, "_square_sum", pairs_only)
+
+
+def test_verify_refuses_a_square_without_its_middle_term(capsys, monkeypatch,
+                                                         tmp_path):
+    # R^2 + 4q no longer factors through Q: the reference is refused first
+    monkeypatch.setattr(metallic, "_tables", {})
+    _drop_middle_square(monkeypatch)
+    code, out, err = run(capsys, "verify", "--n", "2", "--L", "60",
+                         "--cache-dir", str(tmp_path))
+    assert code == 1 and err == "verify: first failing check: engine_agreement\n"
+    assert json.loads(out)["checks"] == [{
+        "name": "engine_agreement", "ok": False,
+        "detail": {**_NAMES, "bad": "precurrence",
+                   "error": "discriminant factorization failed for n = 2"}}]
+    assert os.listdir(tmp_path) == []
+
+
+def test_verify_finds_a_series_square_without_its_middle_term(
+        capsys, monkeypatch, tmp_path):
+    # with the discriminant held at its true value the fault reaches only
+    # the series squares: F^2 in the functional equation and the conv engine
+    P = metallic.poly_P(2)
+    for mod in (metallic, identities):
+        monkeypatch.setattr(mod, "poly_P", lambda n: P)
+    monkeypatch.setattr(metallic, "_tables", {})
+    _drop_middle_square(monkeypatch)
+    code, out, err = run(capsys, "verify", "--n", "2", "--L", "60",
+                         "--cache-dir", str(tmp_path))
+    checks = {c["name"]: c for c in json.loads(out)["checks"]}
+    assert code == 1
+    assert err == "verify: first failing check: functional_equation\n"
+    assert checks["functional_equation"]["detail"]["first_failure"] == 1
+    assert checks["engine_agreement"]["detail"] == {**_NAMES, "bad": "conv"}
+
+
 def test_verify_index_zero_is_a_usage_error(capsys, tmp_path):
     # BadTable is a package error; a bad index is still a ValueError
     assert run(capsys, "verify", "--n", "0", "--L", "60", "--cache-dir",

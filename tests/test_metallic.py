@@ -154,6 +154,12 @@ def test_kappa_text_is_str_of_the_int_store(n):
                                           .encode("ascii")), L
 
 
+@pytest.mark.parametrize("n", range(1, 13))
+def test_convolution_engine_is_the_store(n):
+    for L in (0, 1, n, n + 1, 2 * n + 2, 2 * n + 3, 300):
+        assert metallic._conv_values(n, L) == kappa_values(n, L)
+
+
 def test_kappa_text_rejects_what_kappa_values_rejects():
     with pytest.raises(ValueError):
         kappa_text(1, -1)

@@ -7,6 +7,7 @@ import pytest
 
 from qmetallic.series import (
     INF,
+    _square_sum,
     LaurentSeries,
     constant,
     from_json,
@@ -193,6 +194,43 @@ def test_mul_known_window():
 def test_mul_exact_polynomials():
     a = L(0, [1, 1])
     assert series_mul(a, a) == L(0, [1, 2, 1])
+
+
+def test_square_sum_is_the_sum_over_its_range():
+    rng = random.Random(5)
+    for m in range(12):
+        x = [rng.randint(-9, 9) for _ in range(m)]
+        for k in range(2 * m + 1):
+            for lo in range(3):
+                want = sum(x[i] * x[k - i] for i in range(lo, k - lo + 1)
+                           if i < m and k - i < m)
+                assert _square_sum(x, k, lo) == want
+
+
+def _other_object(s):
+    """An equal series that is not s, so s * _other_object(s) takes the
+    general product where s * s takes the square."""
+    c = LaurentSeries(s.valuation, s.coeffs, s.order)
+    assert c == s and c is not s
+    return c
+
+
+@pytest.mark.parametrize("field", ["Z", "Q"])
+def test_square_is_the_general_product(field):
+    rng = random.Random(1618 if field == "Z" else 2718)
+    cases = []
+    for v in range(-5, 6):
+        for m in range(41):
+            cs = [_random_coeff(rng, field) for _ in range(m)]
+            exact = L(v, cs)
+            # exact, truncated, and truncated below the exact window's end
+            cases += [exact, L(v, cs, v + m), exact.truncate(v + m // 2)]
+    half = Fraction(1, 2) if field == "Q" else 1
+    sparse = [monomial(1, 7) + half, L(-3, [half] + [0] * 9 + [5] + [0] * 12
+                                       + [-1]), monomial(half, 30) - 1]
+    cases += sparse + [s.truncate(12) for s in sparse]
+    for s in cases:
+        assert s * s == s * _other_object(s)
 
 
 @pytest.mark.parametrize("k", [-3, 0, 4])
