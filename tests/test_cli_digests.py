@@ -65,6 +65,8 @@ COMMANDS = [
     ["verify", "--n", "6", "--L", "450"],
     ["coeffs", "--n", "1", "--L", "600", "--engine", "conv"],
     ["coeffs", "--n", "2", "--L", "500", "--engine", "sqrt"],
+    ["identities", "--n", "12", "--order", "300"],
+    ["verify", "--n", "1", "--L", "490"],
 ]
 
 
