@@ -61,11 +61,41 @@ def cmd_coeffs(args) -> int:
     return 0
 
 
+def _window(result, *keys) -> tuple:
+    """(ok, detail) of a windowed check result, detail holding `keys`."""
+    return bool(result), {k: getattr(result, k) for k in keys}
+
+
+def _identities_line(n: int, L: int) -> tuple:
+    bad_ids = [r.identity_id for r in check_all(n, L) if not r.holds]
+    return not bad_ids, {"failed": bad_ids}
+
+
+def _hankel_line(n: int) -> tuple:
+    for s in range(0, n + 2):
+        for j in range(1, 13):
+            d = hankel(n, s, j)
+            if d not in (-1, 0, 1):
+                return False, {"max_s": n + 1, "max_j": 12,
+                               "bad": {"s": s, "j": j, "det": str(d)}}
+    return True, {"max_s": n + 1, "max_j": 12, "bad": None}
+
+
+def _guarded(name: str, check) -> tuple:
+    """(name, ok, detail) of check(); a package error is a failed line."""
+    try:
+        ok, detail = check()
+    except QMetallicError as exc:
+        return name, False, {"error": str(exc)}
+    return name, ok, detail
+
+
 def _verify_checks(n: int, L: int, cache_dir):
     """Yield (name, ok, detail) pairs for the full per-index suite."""
     # the recurrence table is the kappa reference and comes first: a package
     # error while it is built (or while an engine runs) is a failed
-    # engine_agreement, not a crash
+    # engine_agreement, not a crash, and one in any later check is a failed
+    # line of that check
     engines = ["conv", "sqrt"]
     agreement = {"reference": "precurrence", "engines": engines, "bad": None}
     try:
@@ -75,12 +105,10 @@ def _verify_checks(n: int, L: int, cache_dir):
         yield "engine_agreement", False, agreement
         return
 
-    fe = verify_functional_equation(n, L)
-    yield "functional_equation", bool(fe), {"checked_order": fe.checked_order,
-                                            "first_failure": fe.first_failure}
-    ode = verify_ode(n, L)
-    yield "ode", bool(ode), {"checked_order": ode.checked_order,
-                             "first_failure": ode.first_failure}
+    yield _guarded("functional_equation", lambda: _window(
+        verify_functional_equation(n, L), "checked_order", "first_failure"))
+    yield _guarded("ode", lambda: _window(
+        verify_ode(n, L), "checked_order", "first_failure"))
 
     # every engine runs; the tables that agreed go to the cache, and the
     # reference with them once an engine has confirmed it
@@ -100,26 +128,13 @@ def _verify_checks(n: int, L: int, cache_dir):
     corrupt = cache_refresh(n, agreed, L, cache_dir)
     yield "engine_agreement", agreement["bad"] is None, agreement
 
-    bad_ids = [r.identity_id for r in check_all(n, L) if not r.holds]
-    yield "identities", not bad_ids, {"failed": bad_ids}
-
-    hk_ok, hk_bad = True, None
-    for s in range(0, n + 2):
-        for j in range(1, 13):
-            d = hankel(n, s, j)
-            if d not in (-1, 0, 1):
-                hk_ok, hk_bad = False, {"s": s, "j": j, "det": str(d)}
-                break
-        if not hk_ok:
-            break
-    yield "hankel_range", hk_ok, {"max_s": n + 1, "max_j": 12, "bad": hk_bad}
-
+    yield _guarded("identities", lambda: _identities_line(n, L))
+    yield _guarded("hankel_range", lambda: _hankel_line(n))
     if n == 1:
-        sb = sign_bridge_check(min(L, 1000))
-        yield "sign_bridge", bool(sb), {"checked_order": sb.checked_order,
-                                        "first_failure": sb.first_failure}
-        sf = sign_flip_lemma_check(min(L, 1000))
-        yield "sign_flip_lemma", bool(sf), {"first_failure": sf.first_failure}
+        yield _guarded("sign_bridge", lambda: _window(
+            sign_bridge_check(min(L, 1000)), "checked_order", "first_failure"))
+        yield _guarded("sign_flip_lemma", lambda: _window(
+            sign_flip_lemma_check(min(L, 1000)), "first_failure"))
 
     yield "cache_integrity", not corrupt, {"corrupt": corrupt}
 

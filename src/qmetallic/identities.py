@@ -2,15 +2,18 @@
 -1/phi_n, the multiplicative inverse 1/[phi_n]_q, and the q -> 1/q
 coefficient reflection.
 
-Every check builds both sides independently: one side through the modular
-group actions of module qnum applied to the base series F = [phi_n]_q, the
-other through explicit Laurent expansions whose tails are coefficient sums
-over the kappa table; the sides of the eight series relations are built
-once per (n, L) and shared by their checks.  crin and multinv are one
-identity up to the factor -1/q on both sides, 1/F = -q [-1/phi_n], so
-they share one solve of 1/F.  check_all reports each tag
-once, after rejecting an order below min_order(n).  Reports carry the
-identity tag, the compared window, and the first mismatch on failure.
+Every side of the eight series relations is a map x -> (a x + b)/(c x + d)
+of exact Laurent series at the base series F = [phi_n]_q.  One side is a
+composition of the modular group actions of module qnum; the other is
+another composition or an explicit Laurent expansion whose tail is a
+coefficient sum over the kappa table, written as beta F + b with b nonzero
+only on the prefix.  The sides are built independently and never divided
+out: N_l/D_l and N_r/D_r agree through q^(hi-1) exactly when
+G = N_l D_r - N_r D_l = A F^2 + B F + C vanishes through
+q^(hi-1+val(D_l)+val(D_r)), so the eight checks share one square of F.
+check_all reports each tag once, after rejecting an order below
+min_order(n).  Reports carry the identity tag, the compared window, and
+the first mismatch on failure.
 """
 
 from __future__ import annotations
@@ -18,19 +21,23 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache
 
-from .errors import NotMonomialDenominator
+from .errors import NotMonomialDenominator, ZeroSeries
 from .metallic import _check_n, _edge, kappa_values, phi_series, poly_P, poly_R
 from .qnum import (
+    _IDENTITY,
+    _ONE,
+    _ZERO,
+    NEG_RECIPROCAL,
+    NEGATE,
+    RECIPROCAL,
     PeriodicCF,
     QuadraticForm,
-    neg_reciprocal,
-    negate,
+    _matmul,
     q_integer,
     quantize_quadratic,
-    reciprocal,
-    shift,
+    shift_map,
 )
-from .series import LaurentSeries, monomial, poly_coeffs, reversal, zero
+from .series import INF, LaurentSeries, monomial, poly_coeffs, reversal, zero
 
 IDENTITY_IDS = (
     "rel1", "rel2", "rel3", "rel4",
@@ -115,29 +122,63 @@ def _compare(n: int, identity_id: str, lhs: LaurentSeries, rhs: LaurentSeries,
     return IdentityReport(n, identity_id, int(hi), fm is None, fm)
 
 
+def _explicit(beta: LaurentSeries, e: LaurentSeries, phi: LaurentSeries):
+    """The explicit side e as (the map x -> beta x + b, e.order), with
+    b = e - beta F: both tails read the same kappa values, so b is a
+    Laurent polynomial on the prefix, exact as far as e is known."""
+    b = e - beta * phi
+    return ((beta, LaurentSeries(b.valuation, b.coeffs)), (_ZERO, _ONE)), e.order
+
+
 @lru_cache(maxsize=1)
-def _relation_sides(n: int, L: int) -> dict:
-    """(lhs, rhs) of each series relation by tag (immutable, so shared)."""
+def _relation_sides(n: int, L: int) -> tuple:
+    """(F, F^2, sides): sides maps each series relation's tag to (lhs, rhs,
+    cap), each side a map ((a, b), (c, d)) of exact series applied to F and
+    cap the order of the explicit side (INF for two group actions)."""
     fam = laurent_family(n, L)  # first: it rejects L < 2n + 2
-    # negate() consumes extra orders: num valuation -1, den (q-1)x + 1
-    # valuation n (the n leading coefficients of x are all 1)
+    # neg takes F the furthest: G through q^(L+n-1), as val(D_l) = n, and
+    # an F term from q^-(n+1)
     phi = phi_series(n, L + 2 * n + 2)
-    nq = q_integer(n)
     edge = _edge(n).shift(-1)  # (q^n + 1)(q - 1)/q
-    recip_a = reciprocal(phi, L)
-    neg_a = negate(phi, L)
-    negrecip_a = neg_reciprocal(phi, L)
-    return {
-        "rel1": (phi, shift(recip_a, n)),
-        "rel2": (negrecip_a, shift(neg_a, n)),
-        "rel3": (negrecip_a, nq + edge - phi),
-        "rel4": (phi, edge - neg_a.shift(n)),
-        "recip": (recip_a, fam.recip),
-        "crin": (negrecip_a, fam.negrecip),
-        "neg": (neg_a, fam.neg),
-        # 1/F = -q * [-1/phi_n]: crin's solve, against 1/F's own pattern
-        "multinv": (-negrecip_a.shift(1), _inverse_formula(n, L)),
+    sides = {
+        "rel1": (_IDENTITY, _matmul(shift_map(n), RECIPROCAL), INF),
+        "rel2": (NEG_RECIPROCAL, _matmul(shift_map(n), NEGATE), INF),
+        "rel3": (NEG_RECIPROCAL,
+                 ((-_ONE, q_integer(n) + edge), (_ZERO, _ONE)), INF),
+        "rel4": (_IDENTITY,
+                 _matmul(((monomial(-1, n), edge), (_ZERO, _ONE)), NEGATE),
+                 INF),
+        "recip": (RECIPROCAL, *_explicit(monomial(1, -n), fam.recip, phi)),
+        "crin": (NEG_RECIPROCAL, *_explicit(-_ONE, fam.negrecip, phi)),
+        "neg": (NEGATE, *_explicit(monomial(-1, -n), fam.neg, phi)),
+        # 1/F = -q [-1/phi_n], against 1/F's own pattern
+        "multinv": (_matmul(((monomial(-1, 1), _ZERO), (_ZERO, _ONE)),
+                            NEG_RECIPROCAL),
+                    *_explicit(monomial(1, 1), _inverse_formula(n, L), phi)),
     }
+    return phi, phi * phi, sides
+
+
+def _check_relation(n: int, identity_id: str, L: int) -> IdentityReport:
+    """lhs = N_l/D_l against rhs = N_r/D_r through q^(hi-1), by the first
+    nonzero exponent of G = N_l D_r - N_r D_l = A F^2 + B F + C, less
+    val(D_l) + val(D_r).  hi is L capped by the explicit side's order, by
+    series_div's rule N.order - val(D) for each side, and by how far G is
+    known."""
+    F, F2, sides = _relation_sides(n, L)
+    ((a, b), (c, d)), ((e, f), (g, h)), cap = sides[identity_id]
+    den_l, den_r = c * F + d, g * F + h
+    if den_l.is_zero or den_r.is_zero:
+        raise ZeroSeries(f"{identity_id}: a denominator vanishes modulo "
+                         f"q^{F.order}")
+    v = den_l.valuation + den_r.valuation
+    G = (a * g - e * c) * F2 + (a * h + b * g - e * d - f * c) * F + (b * h - f * d)
+    # a zero a or e has valuation INF and caps nothing
+    hi = min(L, cap, F.order + a.valuation - den_l.valuation,
+             F.order + e.valuation - den_r.valuation, G.order - v)
+    fm = G.first_mismatch(zero(), upto=hi + v)
+    return IdentityReport(n, identity_id, int(hi), fm is None,
+                          None if fm is None else fm - v)
 
 
 def check_rel(n: int, identity_id: str, L: int = 300) -> IdentityReport:
@@ -149,8 +190,7 @@ def check_rel(n: int, identity_id: str, L: int = 300) -> IdentityReport:
         return _reflection_single(n, identity_id)
     if identity_id == "multinv":
         return mult_inverse_check(n, L)
-    lhs, rhs = _relation_sides(n, L)[identity_id]
-    return _compare(n, identity_id, lhs, rhs, L)
+    return _check_relation(n, identity_id, L)
 
 
 def min_order(n: int) -> int:
@@ -165,8 +205,11 @@ def _require_min_order(n: int, L: int) -> None:
 
 
 def check_all(n: int, L: int = 300) -> list:
-    """One report per tag of IDENTITY_IDS, in that order."""
+    """One report per tag of IDENTITY_IDS, in that order, from one fresh
+    build of the sides: the memo serves the tags of one call, so no report
+    reads sides built from another state of the kappa store."""
     _require_min_order(n, L)
+    _relation_sides.cache_clear()
     return [check_rel(n, tag, L) for tag in IDENTITY_IDS]
 
 
@@ -174,7 +217,7 @@ def mult_inverse_check(n: int, L: int = 300) -> IdentityReport:
     """Multiplicative inverse against the explicit Laurent pattern."""
     n = _check_n(n)
     _require_min_order(n, L)
-    return _compare(n, "multinv", *_relation_sides(n, L)["multinv"], L)
+    return _check_relation(n, "multinv", L)
 
 
 def _reflection_single(n: int, identity_id: str) -> IdentityReport:

@@ -358,6 +358,18 @@ def quantize_quadratic(cf: PeriodicCF) -> QuadraticForm:
 # -- modular group actions ----------------------------------------------------
 
 
+# Each action as the map that _act applies; identities composes them with
+# _matmul and compares relations by cross-multiplication instead
+NEG_RECIPROCAL = ((_ZERO, -_ONE), (_Q, _ZERO))
+NEGATE = ((-_ONE, _ONE - monomial(1, -1)), (_Q - 1, _ONE))
+RECIPROCAL = ((_Q - 1, _ONE), (_Q, _ONE - _Q))
+
+
+def shift_map(k: int):
+    """The map of shift: x -> q^k x + [k]_q."""
+    return ((monomial(1, k), q_integer(k)), (_ZERO, _ONE))
+
+
 def shift(x: LaurentSeries, k: int) -> LaurentSeries:
     """Deformation of x + k: q^k x + [k]_q."""
     return x.shift(k) + q_integer(k)
@@ -365,15 +377,14 @@ def shift(x: LaurentSeries, k: int) -> LaurentSeries:
 
 def neg_reciprocal(x: LaurentSeries, target_order: int) -> LaurentSeries:
     """Deformation of -1/x: -1/(q x), modulo q^target_order."""
-    return _act(((_ZERO, -_ONE), (_Q, _ZERO)), x, target_order, "neg_reciprocal")
+    return _act(NEG_RECIPROCAL, x, target_order, "neg_reciprocal")
 
 
 def negate(x: LaurentSeries, target_order: int) -> LaurentSeries:
     """Deformation of -x: (-x + 1 - q^-1) / ((q-1) x + 1), modulo q^target_order."""
-    return _act(((-_ONE, _ONE - monomial(1, -1)), (_Q - 1, _ONE)), x,
-                target_order, "negate")
+    return _act(NEGATE, x, target_order, "negate")
 
 
 def reciprocal(x: LaurentSeries, target_order: int) -> LaurentSeries:
     """Deformation of 1/x: ((q-1) x + 1) / (q x + 1 - q), modulo q^target_order."""
-    return _act(((_Q - 1, _ONE), (_Q, _ONE - _Q)), x, target_order, "reciprocal")
+    return _act(RECIPROCAL, x, target_order, "reciprocal")

@@ -460,6 +460,25 @@ def test_verify_finds_a_series_square_without_its_middle_term(
     assert checks["engine_agreement"]["detail"] == {**_NAMES, "bad": "conv"}
 
 
+def test_verify_reports_a_package_error_in_a_later_check(capsys, monkeypatch,
+                                                        tmp_path, request):
+    # with the reference already in the store, the broken square first
+    # raises in the ODE check's poly_P: a failed line, not a crash
+    request.addfinalizer(identities._relation_sides.cache_clear)
+    kappa_values(2, 60)
+    _drop_middle_square(monkeypatch)
+    code, out, err = run(capsys, "verify", "--n", "2", "--L", "60",
+                         "--cache-dir", str(tmp_path))
+    checks = {c["name"]: c for c in json.loads(out)["checks"]}
+    assert code == 1
+    assert err == "verify: first failing check: functional_equation\n"
+    message = "discriminant factorization failed for n = 2"
+    assert checks["ode"] == {"name": "ode", "ok": False,
+                             "detail": {"error": message}}
+    assert checks["identities"]["detail"] == {"error": message}
+    assert checks["hankel_range"]["ok"]
+
+
 def test_verify_index_zero_is_a_usage_error(capsys, tmp_path):
     # BadTable is a package error; a bad index is still a ValueError
     assert run(capsys, "verify", "--n", "0", "--L", "60", "--cache-dir",

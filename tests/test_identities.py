@@ -2,8 +2,8 @@
 
 import pytest
 
-from qmetallic import identities, qnum, series
-from qmetallic.errors import NotMonomialDenominator
+from qmetallic import identities, metallic, qnum, series
+from qmetallic.errors import NotMonomialDenominator, QMetallicError
 from qmetallic.identities import (
     IDENTITY_IDS,
     IdentityReport,
@@ -17,7 +17,7 @@ from qmetallic.identities import (
     mult_inverse_check,
     reflection_check,
 )
-from qmetallic.metallic import phi_series
+from qmetallic.metallic import _edge, phi_series
 from qmetallic.qnum import parse_cf
 from qmetallic.series import LaurentSeries
 
@@ -37,8 +37,9 @@ def test_check_all_covers_every_tag():
 
 
 def test_check_all_builds_the_sides_once(monkeypatch):
-    divisions, tags = [], []
+    divisions, tags, builds = [], [], []
     real_div, real_check = qnum.series_div, identities.check_rel
+    real_family = identities.laurent_family
 
     def count_div(*args):
         divisions.append(args)
@@ -48,16 +49,22 @@ def test_check_all_builds_the_sides_once(monkeypatch):
         tags.append(tag)
         return real_check(n, tag, L)
 
+    def count_family(n, L):
+        builds.append((n, L))
+        return real_family(n, L)
+
     monkeypatch.setattr(qnum, "series_div", count_div)
     monkeypatch.setattr(identities, "check_rel", count_check)
+    monkeypatch.setattr(identities, "laurent_family", count_family)
     identities._relation_sides.cache_clear()
     assert all(check_all(2, 70))
-    assert len(divisions) == 3
+    assert divisions == []
+    assert builds == [(2, 70)]
     assert tags == list(IDENTITY_IDS)
 
 
-def test_check_all_makes_three_divisions_in_all(monkeypatch):
-    # crin and multinv share one solve of 1/F; no other module divides
+def test_check_all_makes_no_division(monkeypatch):
+    # every relation is cross-multiplied: no module divides a series
     divisions = []
     real_div = series.series_div
 
@@ -69,7 +76,7 @@ def test_check_all_makes_three_divisions_in_all(monkeypatch):
     monkeypatch.setattr(qnum, "series_div", count_div)
     identities._relation_sides.cache_clear()
     assert all(check_all(2, 70))
-    assert len(divisions) == 3
+    assert divisions == []
 
 
 def test_check_all_rejects_a_low_order_before_any_work(monkeypatch):
@@ -96,9 +103,87 @@ def test_memoised_sides_keep_indices_apart():
     assert check_rel(1, "rel1", 60).n == 1
     rep = check_rel(2, "rel1", 60)
     assert rep.n == 2 and rep.holds
-    lhs, _ = identities._relation_sides(2, 60)["rel1"]
-    assert lhs.coefficients(0, 20) == phi_series(2, 20).coefficients(0, 20)
-    assert lhs.coefficients(0, 20) != phi_series(1, 20).coefficients(0, 20)
+    F, F2, _ = identities._relation_sides(2, 60)
+    assert F.coefficients(0, 20) == phi_series(2, 20).coefficients(0, 20)
+    assert F.coefficients(0, 20) != phi_series(1, 20).coefficients(0, 20)
+    assert F2 == F * F
+
+
+# -- division as the oracle of the cross-multiplied relations -------------------
+
+
+def _division_reports(n, L):
+    """Each series relation's report with both sides divided out by
+    qnum's group actions and compared coefficient by coefficient."""
+    fam = laurent_family(n, L)
+    phi = phi_series(n, L + 2 * n + 2)
+    edge = _edge(n).shift(-1)
+    recip = qnum.reciprocal(phi, L)
+    neg = qnum.negate(phi, L)
+    negrecip = qnum.neg_reciprocal(phi, L)
+    sides = {
+        "rel1": (phi, qnum.shift(recip, n)),
+        "rel2": (negrecip, qnum.shift(neg, n)),
+        "rel3": (negrecip, qnum.q_integer(n) + edge - phi),
+        "rel4": (phi, edge - neg.shift(n)),
+        "recip": (recip, fam.recip),
+        "crin": (negrecip, fam.negrecip),
+        "neg": (neg, fam.neg),
+        "multinv": (-negrecip.shift(1), identities._inverse_formula(n, L)),
+    }
+    return {tag: identities._compare(n, tag, *sides[tag], L) for tag in sides}
+
+
+def _cross_reports(n, L):
+    identities._relation_sides.cache_clear()
+    return {tag: check_rel(n, tag, L) for tag in SERIES_IDS}
+
+
+SERIES_IDS = IDENTITY_IDS[:8]
+
+
+@pytest.fixture
+def fresh_sides():
+    identities._relation_sides.cache_clear()
+    yield
+    identities._relation_sides.cache_clear()
+
+
+@pytest.mark.parametrize("n", range(1, 13))
+def test_cross_multiplication_matches_division(n, fresh_sides):
+    assert set(SERIES_IDS) == set(_division_reports(n, 60))
+    for L in (2 * n + 3, 60, 200):
+        assert _cross_reports(n, L) == _division_reports(n, L), L
+
+
+@pytest.mark.parametrize("n", range(1, 13))
+def test_cross_multiplication_matches_division_on_a_bumped_store(
+        n, monkeypatch, fresh_sides):
+    # one coefficient of the kappa store made wrong: where the division
+    # path returns reports, they are the same; where a prefix coefficient
+    # makes it raise, every relation is reported failing instead
+    L = 60
+    clean = metallic.kappa_values(n, L + 2 * n + 2)
+    positions = (0, n, 2 * n + 3, 2 * n + 4, 2 * n + 5, L // 2, L - 2, L - 1,
+                 L, L + n - 1, L + n, L + 2 * n, L + 2 * n + 1)
+    raised = 0
+    for j in positions:
+        for bump in (1, -2):
+            vals = list(clean)
+            vals[j] += bump
+            monkeypatch.setattr(metallic, "_tables", {n: vals})
+            try:
+                want = _division_reports(n, L)
+            except QMetallicError:
+                want = None
+            got = _cross_reports(n, L)
+            if want is None:
+                raised += 1
+                assert j <= 2 * n + 3, (j, bump)
+                assert not any(got.values()), (j, bump)
+            else:
+                assert got == want, (j, bump)
+    assert raised
 
 
 def test_single_relation_report_shape():
