@@ -126,8 +126,21 @@ def _explicit(beta: LaurentSeries, e: LaurentSeries, phi: LaurentSeries):
     """The explicit side e as (the map x -> beta x + b, e.order), with
     b = e - beta F: both tails read the same kappa values, so b is a
     Laurent polynomial on the prefix, exact as far as e is known."""
-    b = e - beta * phi
+    b = e + (-beta) * phi
     return ((beta, LaurentSeries(b.valuation, b.coeffs)), (_ZERO, _ONE)), e.order
+
+
+def _den_valuation(identity_id: str, c: LaurentSeries, d: LaurentSeries,
+                   F: LaurentSeries) -> int:
+    """val(c F + d), read from the shortest window of F, doubled from one
+    coefficient, that shows a nonzero term."""
+    w = 1
+    while not (den := c * F.truncate(w) + d):
+        if w >= F.order:
+            raise ZeroSeries(f"{identity_id}: a denominator vanishes modulo "
+                             f"q^{F.order}")
+        w = min(2 * w, F.order)
+    return den.valuation
 
 
 @lru_cache(maxsize=1)
@@ -167,16 +180,16 @@ def _check_relation(n: int, identity_id: str, L: int) -> IdentityReport:
     known."""
     F, F2, sides = _relation_sides(n, L)
     ((a, b), (c, d)), ((e, f), (g, h)), cap = sides[identity_id]
-    den_l, den_r = c * F + d, g * F + h
-    if den_l.is_zero or den_r.is_zero:
-        raise ZeroSeries(f"{identity_id}: a denominator vanishes modulo "
-                         f"q^{F.order}")
-    v = den_l.valuation + den_r.valuation
-    G = (a * g - e * c) * F2 + (a * h + b * g - e * d - f * c) * F + (b * h - f * d)
+    v_l = _den_valuation(identity_id, c, d, F)
+    v_r = _den_valuation(identity_id, g, h, F)
+    v = v_l + v_r
+    # G vanishes where A F^2 + C and -B F agree
+    lhs = (a * g - e * c) * F2 + (b * h - f * d)
+    rhs = (e * d + f * c - a * h - b * g) * F
     # a zero a or e has valuation INF and caps nothing
-    hi = min(L, cap, F.order + a.valuation - den_l.valuation,
-             F.order + e.valuation - den_r.valuation, G.order - v)
-    fm = G.first_mismatch(zero(), upto=hi + v)
+    hi = min(L, cap, F.order + a.valuation - v_l, F.order + e.valuation - v_r,
+             lhs.order - v, rhs.order - v)
+    fm = lhs.first_mismatch(rhs, upto=hi + v)
     return IdentityReport(n, identity_id, int(hi), fm is None,
                           None if fm is None else fm - v)
 
