@@ -112,6 +112,9 @@ def test_memoised_sides_keep_indices_apart():
 # -- division as the oracle of the cross-multiplied relations -------------------
 
 
+SERIES_IDS = IDENTITY_IDS[:8]
+
+
 def _division_reports(n, L):
     """Each series relation's report with both sides divided out by
     qnum's group actions and compared coefficient by coefficient."""
@@ -137,9 +140,6 @@ def _division_reports(n, L):
 def _cross_reports(n, L):
     identities._relation_sides.cache_clear()
     return {tag: check_rel(n, tag, L) for tag in SERIES_IDS}
-
-
-SERIES_IDS = IDENTITY_IDS[:8]
 
 
 @pytest.fixture
