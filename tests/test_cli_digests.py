@@ -67,6 +67,8 @@ COMMANDS = [
     ["coeffs", "--n", "2", "--L", "500", "--engine", "sqrt"],
     ["identities", "--n", "12", "--order", "300"],
     ["verify", "--n", "1", "--L", "490"],
+    ["radius", "--n", "19"],
+    ["radius", "--n", "48", "--format", "csv"],
 ]
 
 
