@@ -3,11 +3,13 @@
 The growth of the series coefficients is governed by the roots of the
 palindromic polynomial Q_n (the reduced discriminant factor).  This module
 finds all 2n roots by Aberth-Ehrlich simultaneous iteration in machine
-precision, polishes each one by Newton's method in big-int fixed point,
-and certifies them by a residual bound and by pairwise disjoint Newton
-inclusion disks (each then holds exactly one root).  It extracts the
-dominant ones (minimal modulus, the radius of convergence), and assembles
-the square-root singularity constants and the leading asymptotic term
+precision, polishes one root of each conjugate pair by Newton's method in
+big-int fixed point (its partner is the mirror image), and certifies them
+by a residual bound and by pairwise disjoint Newton inclusion disks (each
+then holds exactly one root).  It lists the roots by modulus, then by
+argument, extracts the dominant ones (minimal modulus, the radius of
+convergence), and assembles the square-root singularity constants and the
+leading asymptotic term
 
     alpha_l = sum_j (-gamma_j / (2 sqrt(pi))) zeta_j^(-l) l^(-3/2).
 
@@ -58,16 +60,12 @@ def _init_circle(deg: int, radius: float) -> list:
     ]
 
 
-def _fujiwara_radius(coeffs) -> float:
-    """Coefficient bound on root moduli (Fujiwara)."""
+def _start_radius(coeffs) -> float:
+    """|a_0/a_d|^(1/d), the geometric mean of the root moduli, pushed
+    slightly outward: Aberth starts near the roots, not outside a bound."""
     d = len(coeffs) - 1
-    lead = abs(coeffs[-1])
-    b = 0.0
-    for k in range(1, d + 1):
-        c = abs(coeffs[d - k]) / lead
-        if c:
-            b = max(b, (c / (2.0 if k == d else 1.0)) ** (1.0 / k))
-    return 2.0 * b
+    return 1.0625 * math.exp(
+        (math.log(abs(coeffs[0])) - math.log(abs(coeffs[-1]))) / d)
 
 
 def _horner2(coeffs, z):
@@ -142,19 +140,26 @@ def _horner_error(deg, m, P):
     return ep, edp
 
 
-def _newton_fixed(scaled, x, y, P, stop, cap):
-    """Newton from (x, y) until a step is below `stop` units; returns the
-    last point and p, p' there, or raises NoConvergence."""
-    for _ in range(cap):
-        pr, pi_, dr, di = _horner_fixed(scaled, x, y, P)
-        den = dr * dr + di * di
-        if den == 0:
-            raise NoConvergence("Newton step hit a zero derivative")
-        wr = ((pr * dr + pi_ * di) << P) // den
-        wi = ((pi_ * dr - pr * di) << P) // den
-        if wr * wr + wi * wi < stop * stop:
-            return x, y, pr, pi_, dr, di
-        x, y = x - wr, y - wi
+def _newton_fixed(levels, x, y, stop, cap):
+    """Newton from (x, y) over `levels`, pairs (Q, the coefficients highest
+    first times 2^Q) of rising precision Q, with (x, y) in units of the
+    first: one step at each level but the last, then steps at the last
+    until one is below `stop` units.  Returns the last point and p, p'
+    there, or raises NoConvergence."""
+    prev = levels[0][0]
+    for k, (P, scaled) in enumerate(levels, 1 - len(levels)):
+        x, y = x << (P - prev), y << (P - prev)
+        prev = P
+        for _ in range(cap if k == 0 else 1):
+            pr, pi_, dr, di = _horner_fixed(scaled, x, y, P)
+            den = dr * dr + di * di
+            if den == 0:
+                raise NoConvergence("Newton step hit a zero derivative")
+            wr = ((pr * dr + pi_ * di) << P) // den
+            wi = ((pi_ * dr - pr * di) << P) // den
+            if k == 0 and wr * wr + wi * wi < stop * stop:
+                return x, y, pr, pi_, dr, di
+            x, y = x - wr, y - wi
     raise NoConvergence(f"Newton polish did not settle within {cap} steps")
 
 
@@ -173,10 +178,34 @@ def _inclusion_disk(deg, P, x, y, pr, pi_, dr, di):
     return residual, -((-deg * residual << P) // slope) + 2 * ((m >> P) + 1)
 
 
+def _conjugate_pairs(zs):
+    """Pairs (i, j) of float roots, zs[i] above the real axis and zs[j]
+    below, each the other's nearest conjugate; and the indices in no pair."""
+    upper = [k for k, z in enumerate(zs) if z.imag > 0]
+    lower = [k for k, z in enumerate(zs) if z.imag < 0]
+
+    def nearest(k, pool):
+        w = zs[k].conjugate()
+        return min(pool, key=lambda m: abs(zs[m] - w), default=None)
+
+    pairs = [(i, j) for i in upper
+             if (j := nearest(i, lower)) is not None and nearest(j, upper) == i]
+    paired = {k for pair in pairs for k in pair}
+    return pairs, [k for k in range(len(zs)) if k not in paired]
+
+
+def _order_key(disk, unit):
+    """Modulus, then argument, of a disk's centre as floats: rounded far
+    above the certified accuracy, so the order does not follow the path."""
+    x, y = disk[0] / unit, disk[1] / unit
+    return math.hypot(x, y), math.atan2(y, x)
+
+
 class CertifiedRoots(tuple):
-    """All roots of a polynomial, in order, with one inclusion radius per
-    root (the disk of that radius around it holds exactly one root) and the
-    sweep count of the float stage (None if it did not converge)."""
+    """All roots of a polynomial, sorted by modulus and then by argument,
+    with one inclusion radius per root (the disk of that radius around it
+    holds exactly one root) and the sweep count of the float stage (None
+    if it did not converge)."""
 
     def __new__(cls, roots, radii, float_sweeps):
         self = super().__new__(cls, roots)
@@ -186,49 +215,62 @@ class CertifiedRoots(tuple):
 
 
 def all_roots(coeffs, precision_bits: int) -> CertifiedRoots:
-    """All roots of an integer polynomial (ascending coefficients, nonzero
-    leading and constant term): machine-precision Aberth-Ehrlich from a
-    circle start, then per-root Newton in big-int fixed point, certified
-    by a residual bound and by pairwise disjoint Newton inclusion disks."""
+    """All roots of a real integer polynomial (ascending coefficients,
+    nonzero leading and constant term): machine-precision Aberth-Ehrlich
+    from a circle start, then Newton in big-int fixed point on one root of
+    each conjugate pair, certified by a residual bound and by pairwise
+    disjoint Newton inclusion disks."""
     bits = _check_precision(precision_bits)
     deg = len(coeffs) - 1
     fc = [float(c) for c in coeffs]
-    zs = _init_circle(deg, max(1.0, _fujiwara_radius(fc)))
+    zs = _init_circle(deg, _start_radius(coeffs))
     sweeps = _aberth_sweeps(fc, zs, 1e-13, 600)  # certified below
+    if not all(map(cmath.isfinite, zs)):
+        raise NoConvergence("float root iteration diverged")
     P = bits + _GUARD_BITS
-    scaled = [c << P for c in reversed(coeffs)]
+    # each Newton step doubles the correct bits of a float root: one step at
+    # each of 96, 192, 384, ... bits below P, then steps at P (two, as a rule)
+    ramp = [96 << k for k in range(P.bit_length()) if 96 << k < P]
+    levels = [(Q, [c << Q for c in reversed(coeffs)]) for Q in ramp + [P]]
+    Q0 = levels[0][0]
     cap = 4 + P.bit_length()  # quadratic convergence from about 2^-40
-    points, radii, worst = [], [], 0
-    for z in zs:
-        if not cmath.isfinite(z):
-            raise NoConvergence("float root iteration diverged")
-        (xn, xd), (yn, yd) = (z.real.as_integer_ratio(),
-                              z.imag.as_integer_ratio())
-        x, y, *p_dp = _newton_fixed(scaled, (xn << P) // xd, (yn << P) // yd,
-                                    P, 1 << (_GUARD_BITS // 2), cap)
+    pairs, alone = _conjugate_pairs(zs)
+    todo = pairs + [(k, None) for k in alone]
+    disks, worst = [], 0
+    for i, j in todo:  # grows while it runs: a split pair adds its partner
+        (xn, xd), (yn, yd) = (zs[i].real.as_integer_ratio(),
+                              zs[i].imag.as_integer_ratio())
+        x, y, *p_dp = _newton_fixed(levels, (xn << Q0) // xd,
+                                    (yn << Q0) // yd,
+                                    1 << (_GUARD_BITS // 2), cap)
         residual, r = _inclusion_disk(deg, P, x, y, *p_dp)
+        worst = max(worst, residual)
         if abs(y) <= r:
             # the disk meets the real axis; once the disks are known to be
             # disjoint, its one root is its own conjugate, so real
             r += abs(y)
             y = 0
-        worst = max(worst, residual)
-        points.append((x, y))
-        radii.append(r)
+            if j is not None:
+                todo.append((j, None))
+        elif j is not None:
+            # real coefficients: the mirrored disk holds the conjugate root,
+            # and |p| is the same there
+            disks.append((x, -y, r))
+        disks.append((x, y, r))
     if worst * 10 ** (bits // 4) >= 1 << P:
         with mp.workprec(P):
             raise NoConvergence(
                 f"residual {nstr(mpf((worst, -P)), 5)} above bound "
                 f"{nstr(mpf(10) ** (-(bits // 4)), 5)}")
-    for i, j in itertools.combinations(range(deg), 2):
-        dx = points[i][0] - points[j][0]
-        dy = points[i][1] - points[j][1]
-        if dx * dx + dy * dy <= (radii[i] + radii[j]) ** 2:
+    disks.sort(key=lambda d: _order_key(d, 1 << P))
+    for (i, (xi, yi, ri)), (j, (xj, yj, rj)) in itertools.combinations(
+            enumerate(disks), 2):
+        if (xi - xj) ** 2 + (yi - yj) ** 2 <= (ri + rj) ** 2:
             raise MultipleRoot(f"inclusion disks of roots {i} and {j} overlap")
     with mp.workprec(P):
         return CertifiedRoots(
-            [mpc(mpf((x, -P)), mpf((y, -P))) for x, y in points],
-            [mpf((r, -P)) for r in radii], sweeps)
+            [mpc(mpf((x, -P)), mpf((y, -P))) for x, y, _ in disks],
+            [mpf((r, -P)) for *_, r in disks], sweeps)
 
 
 # -- singularity data -------------------------------------------------------------

@@ -57,7 +57,8 @@ class LaurentSeries:
     __slots__ = ("valuation", "coeffs", "order")
 
     def __init__(self, valuation, coeffs: Iterable, order=INF):
-        cs = [_canon(c) for c in coeffs]
+        # nearly every coefficient is an int: test inline, skip the call
+        cs = [c if type(c) is int else _canon(c) for c in coeffs]
         if order != INF:
             order = int(order)
             if order - valuation != len(cs):

@@ -1,5 +1,6 @@
 """Unit tests for root finding and coefficient asymptotics."""
 
+import inspect
 import itertools
 
 import pytest
@@ -189,3 +190,96 @@ def test_global_precision_untouched():
 def test_roots_Q_matches_report():
     assert roots_Q(2) == singularity_report(2).all_roots
     assert DEFAULT_PRECISION == 256
+
+
+# -- the start circle, conjugate pairs and the fixed order -------------------------
+
+
+def _Q_coeffs(n):
+    return list(poly_Q(n).coeffs)
+
+
+def test_float_sweeps_bounded():
+    # Aberth starts on a circle near the roots, not outside a coefficient
+    # bound: at most 20 sweeps for every n <= 48, 437 in all
+    sweeps = [singularity_report(n).float_sweeps for n in range(1, 49)]
+    assert max(sweeps) <= 20
+    assert sum(sweeps) <= 500
+
+
+@pytest.mark.parametrize("n", [2, 19, 43, 48])
+def test_mirrored_pairs_exactly_conjugate(n):
+    roots = all_roots(_Q_coeffs(n), DEFAULT_PRECISION)
+    with workprec(4 * DEFAULT_PRECISION):  # conjugation rounds nothing
+        radius_at = dict(zip(roots, roots.radii))
+        for z, r in radius_at.items():
+            assert z.imag == 0 or radius_at[z.conjugate()] == r
+
+
+@pytest.mark.parametrize("n", [1, 3, 19, 30])
+def test_roots_in_fixed_order(n):
+    roots = all_roots(_Q_coeffs(n), DEFAULT_PRECISION)
+    with workprec(DEFAULT_PRECISION):
+        keys = [(float(fabs(z)), float(mp.arg(z))) for z in roots]
+    assert keys == sorted(keys)
+    rep = singularity_report(n)
+    assert list(rep.dominant) == [z for z in rep.all_roots
+                                  if z in set(rep.dominant)]
+
+
+def test_order_does_not_follow_the_path(monkeypatch):
+    # float roots moved by 1e-12 and listed backwards take other Newton
+    # paths; the digits and the order of the roots stay
+    want = [nstr(z, 30) for z in all_roots(_Q_coeffs(12), DEFAULT_PRECISION)]
+    sweeps = asymptotics._aberth_sweeps
+
+    def moved(coeffs, zs, tol, max_sweeps):
+        count = sweeps(coeffs, zs, tol, max_sweeps)
+        zs[:] = [z * (1 + 1e-12j) for z in reversed(zs)]
+        return count
+
+    monkeypatch.setattr(asymptotics, "_aberth_sweeps", moved)
+    got = all_roots(_Q_coeffs(12), DEFAULT_PRECISION)
+    assert [nstr(z, 30) for z in got] == want
+
+
+def test_mirror_without_conjugation_rejected():
+    # a mutant that mirrors (x, y) to (x, y): each disk shows up twice
+    source = inspect.getsource(asymptotics.all_roots)
+    mutant = source.replace("disks.append((x, -y, r))",
+                            "disks.append((x, y, r))")
+    assert mutant != source
+    scope = dict(vars(asymptotics))
+    exec(compile(mutant, asymptotics.__file__, "exec"), scope)
+    with pytest.raises(MultipleRoot, match="overlap"):
+        scope["all_roots"](_Q_coeffs(5), DEFAULT_PRECISION)
+
+
+@pytest.mark.parametrize("a, b", [(0, 1), (1, 0), (2, 5)])
+def test_float_stage_with_a_wrong_partner_rejected(monkeypatch, a, b):
+    # the float partner of root a is replaced by a copy of the partner of
+    # root b: root a's conjugate has no start, b's has two, and the result
+    # must be a refusal, never a wrong root set
+    sweeps = asymptotics._aberth_sweeps
+
+    def wrong_partner(coeffs, zs, tol, max_sweeps):
+        count = sweeps(coeffs, zs, tol, max_sweeps)
+        upper = sorted((z for z in zs if z.imag > 0), key=abs)
+        za, zb = upper[a], upper[b]
+        k = min(range(len(zs)), key=lambda k: abs(zs[k] - za.conjugate()))
+        zs[k] = zb.conjugate() * (1 + 1e-12)
+        return count
+
+    monkeypatch.setattr(asymptotics, "_aberth_sweeps", wrong_partner)
+    with pytest.raises(MultipleRoot, match="overlap"):
+        all_roots(_Q_coeffs(6), DEFAULT_PRECISION)
+
+
+def test_closest_moduli_two_dominant_roots():
+    # n = 19 has the smallest relative gap between root moduli, 1.39e-5,
+    # between the dominant pair and the next pair
+    rep = singularity_report(19)
+    assert len(rep.dominant) == 2
+    with workprec(DEFAULT_PRECISION):
+        moduli = sorted({float(fabs(z)) for z in rep.all_roots})
+    assert 1.38e-5 < moduli[1] / moduli[0] - 1 < 1.40e-5
