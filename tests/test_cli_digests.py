@@ -69,6 +69,7 @@ COMMANDS = [
     ["verify", "--n", "1", "--L", "490"],
     ["radius", "--n", "19"],
     ["radius", "--n", "48", "--format", "csv"],
+    ["asymptotics", "--n", "30"],
 ]
 
 
