@@ -243,6 +243,20 @@ def test_order_does_not_follow_the_path(monkeypatch):
     assert [nstr(z, 30) for z in got] == want
 
 
+def test_pair_on_the_real_axis_polished_on_its_own(monkeypatch):
+    # float roots 1 and 2 of (1-q)(2-q)(3-q) off the axis by +-1e-20 pair
+    # up; the disk of the first meets the real axis, so the second is
+    # polished on its own instead of mirrored
+    def paired_real_roots(coeffs, zs, tol, max_sweeps):
+        zs[:] = [1 + 1e-20j, 2 - 1e-20j, 3 + 0j]
+        return None
+
+    monkeypatch.setattr(asymptotics, "_aberth_sweeps", paired_real_roots)
+    roots = all_roots([6, -11, 6, -1], 192)
+    assert [z.imag for z in roots] == [0, 0, 0]
+    assert [round(float(z.real), 12) for z in roots] == [1.0, 2.0, 3.0]
+
+
 def test_mirror_without_conjugation_rejected():
     # a mutant that mirrors (x, y) to (x, y): each disk shows up twice
     source = inspect.getsource(asymptotics.all_roots)
