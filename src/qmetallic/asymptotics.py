@@ -146,18 +146,18 @@ def _newton_fixed(levels, x, y, stop, cap):
     first: one step at each level but the last, then steps at the last
     until one is below `stop` units.  Returns the last point and p, p'
     there, or raises NoConvergence."""
-    prev = levels[0][0]
-    for k, (P, scaled) in enumerate(levels, 1 - len(levels)):
+    prev, last = levels[0][0], len(levels) - 1
+    for k, (P, scaled) in enumerate(levels):
         x, y = x << (P - prev), y << (P - prev)
         prev = P
-        for _ in range(cap if k == 0 else 1):
+        for _ in range(cap if k == last else 1):
             pr, pi_, dr, di = _horner_fixed(scaled, x, y, P)
             den = dr * dr + di * di
             if den == 0:
                 raise NoConvergence("Newton step hit a zero derivative")
             wr = ((pr * dr + pi_ * di) << P) // den
             wi = ((pi_ * dr - pr * di) << P) // den
-            if k == 0 and wr * wr + wi * wi < stop * stop:
+            if k == last and wr * wr + wi * wi < stop * stop:
                 return x, y, pr, pi_, dr, di
             x, y = x - wr, y - wi
     raise NoConvergence(f"Newton polish did not settle within {cap} steps")

@@ -3,9 +3,10 @@
 For each index n (and a few at 512 bits) the sha256 of the sorted
 30-digit strings of the roots, the dominant roots and their gamma
 constants, together with the radius and the branch flag, must match the
-recorded one.  The list order of the roots and the trailing digits of the
-inclusion radius depend on the solver's path and are not pinned.  To
-regenerate, after an intended change of the root sets:
+recorded one.  Only the sets are pinned: not the order the roots are
+listed in, and not the inclusion radius, whose trailing digits depend on
+the Newton path.  To regenerate, after an intended change of the root
+sets:
 
     PYTHONPATH=src python3 tests/test_root_digests.py
 """
