@@ -10,10 +10,10 @@ coefficient sum over the kappa table, written as beta F + b with b nonzero
 only on the prefix.  The sides are built independently and never divided
 out: N_l/D_l and N_r/D_r agree through q^(hi-1) exactly when
 G = N_l D_r - N_r D_l = A F^2 + B F + C vanishes through
-q^(hi-1+val(D_l)+val(D_r)), so the eight checks share one square of F.
-check_all reports each tag once, after rejecting an order below
-min_order(n).  Reports carry the identity tag, the compared window, and
-the first mismatch on failure.
+q^(hi-1+val(D_l)+val(D_r)), read off the one residual E = q F^2 - R F - 1
+as q G = A E + (A R + q B) F + (A + q C).  Every series tag rejects an
+order below min_order(n) before any work.  Reports carry the identity
+tag, the compared window, and the first mismatch on failure.
 """
 
 from __future__ import annotations
@@ -22,7 +22,8 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 from .errors import NotMonomialDenominator, ZeroSeries
-from .metallic import _check_n, _edge, kappa_values, phi_series, poly_P, poly_R
+from .metallic import (_check_n, _edge, kappa_values, phi_series, poly_P,
+                       poly_R, residual)
 from .qnum import (
     _IDENTITY,
     _ONE,
@@ -37,7 +38,7 @@ from .qnum import (
     quantize_quadratic,
     shift_map,
 )
-from .series import INF, LaurentSeries, monomial, poly_coeffs, reversal, zero
+from .series import LaurentSeries, monomial, poly_coeffs, reversal, zero
 
 IDENTITY_IDS = (
     "rel1", "rel2", "rel3", "rel4",
@@ -123,11 +124,10 @@ def _compare(n: int, identity_id: str, lhs: LaurentSeries, rhs: LaurentSeries,
 
 
 def _explicit(beta: LaurentSeries, e: LaurentSeries, phi: LaurentSeries):
-    """The explicit side e as (the map x -> beta x + b, e.order), with
-    b = e - beta F: both tails read the same kappa values, so b is a
-    Laurent polynomial on the prefix, exact as far as e is known."""
+    """The explicit side e as the map x -> beta x + b: both tails read the
+    same kappa values, so b = e - beta F is a Laurent polynomial."""
     b = e + (-beta) * phi
-    return ((beta, LaurentSeries(b.valuation, b.coeffs)), (_ZERO, _ONE)), e.order
+    return (beta, LaurentSeries(b.valuation, b.coeffs)), (_ZERO, _ONE)
 
 
 def _den_valuation(identity_id: str, c: LaurentSeries, d: LaurentSeries,
@@ -145,53 +145,52 @@ def _den_valuation(identity_id: str, c: LaurentSeries, d: LaurentSeries,
 
 @lru_cache(maxsize=1)
 def _relation_sides(n: int, L: int) -> tuple:
-    """(F, F^2, sides): sides maps each series relation's tag to (lhs, rhs,
-    cap), each side a map ((a, b), (c, d)) of exact series applied to F and
-    cap the order of the explicit side (INF for two group actions)."""
-    fam = laurent_family(n, L)  # first: it rejects L < 2n + 2
-    # neg takes F the furthest: G through q^(L+n-1), as val(D_l) = n, and
-    # an F term from q^-(n+1)
+    """(F, E = q F^2 - R F - 1, sides): each series tag's (lhs, rhs), maps
+    ((a, b), (c, d)) of exact series applied to F."""
+    fam = laurent_family(n, L)
+    # neg reads F the furthest: q G through q^(L+n) from A E, val(A) = -n
     phi = phi_series(n, L + 2 * n + 2)
     edge = _edge(n).shift(-1)  # (q^n + 1)(q - 1)/q
     sides = {
-        "rel1": (_IDENTITY, _matmul(shift_map(n), RECIPROCAL), INF),
-        "rel2": (NEG_RECIPROCAL, _matmul(shift_map(n), NEGATE), INF),
+        "rel1": (_IDENTITY, _matmul(shift_map(n), RECIPROCAL)),
+        "rel2": (NEG_RECIPROCAL, _matmul(shift_map(n), NEGATE)),
         "rel3": (NEG_RECIPROCAL,
-                 ((-_ONE, q_integer(n) + edge), (_ZERO, _ONE)), INF),
+                 ((-_ONE, q_integer(n) + edge), (_ZERO, _ONE))),
         "rel4": (_IDENTITY,
-                 _matmul(((monomial(-1, n), edge), (_ZERO, _ONE)), NEGATE),
-                 INF),
-        "recip": (RECIPROCAL, *_explicit(monomial(1, -n), fam.recip, phi)),
-        "crin": (NEG_RECIPROCAL, *_explicit(-_ONE, fam.negrecip, phi)),
-        "neg": (NEGATE, *_explicit(monomial(-1, -n), fam.neg, phi)),
+                 _matmul(((monomial(-1, n), edge), (_ZERO, _ONE)), NEGATE)),
+        "recip": (RECIPROCAL, _explicit(monomial(1, -n), fam.recip, phi)),
+        "crin": (NEG_RECIPROCAL, _explicit(-_ONE, fam.negrecip, phi)),
+        "neg": (NEGATE, _explicit(monomial(-1, -n), fam.neg, phi)),
         # 1/F = -q [-1/phi_n], against 1/F's own pattern
         "multinv": (_matmul(((monomial(-1, 1), _ZERO), (_ZERO, _ONE)),
                             NEG_RECIPROCAL),
-                    *_explicit(monomial(1, 1), _inverse_formula(n, L), phi)),
+                    _explicit(monomial(1, 1), _inverse_formula(n, L), phi)),
     }
-    return phi, phi * phi, sides
+    return phi, residual(n, phi), sides
 
 
 def _check_relation(n: int, identity_id: str, L: int) -> IdentityReport:
     """lhs = N_l/D_l against rhs = N_r/D_r through q^(hi-1), by the first
     nonzero exponent of G = N_l D_r - N_r D_l = A F^2 + B F + C, less
-    val(D_l) + val(D_r).  hi is L capped by the explicit side's order, by
-    series_div's rule N.order - val(D) for each side, and by how far G is
-    known."""
-    F, F2, sides = _relation_sides(n, L)
-    ((a, b), (c, d)), ((e, f), (g, h)), cap = sides[identity_id]
+    val(D_l) + val(D_r).  E is zero on a correct table, and so are
+    A R + q B and A + q C for every relation, so no product runs a loop.
+    hi is L capped by series_div's rule N.order - val(D) for each side and
+    by how far q G is known."""
+    _require_min_order(n, L)
+    F, E, sides = _relation_sides(n, L)
+    ((a, b), (c, d)), ((e, f), (g, h)) = sides[identity_id]
     v_l = _den_valuation(identity_id, c, d, F)
     v_r = _den_valuation(identity_id, g, h, F)
     v = v_l + v_r
-    # G vanishes where A F^2 + C and -B F agree
-    lhs = (a * g - e * c) * F2 + (b * h - f * d)
-    rhs = (e * d + f * c - a * h - b * g) * F
+    A = a * g - e * c
+    qB = (a * h + b * g - e * d - f * c).shift(1)
+    qG = A * E + (A * poly_R(n) + qB) * F + A + (b * h - f * d).shift(1)
     # a zero a or e has valuation INF and caps nothing
-    hi = min(L, cap, F.order + a.valuation - v_l, F.order + e.valuation - v_r,
-             lhs.order - v, rhs.order - v)
-    fm = lhs.first_mismatch(rhs, upto=hi + v)
+    hi = min(L, F.order + a.valuation - v_l, F.order + e.valuation - v_r,
+             qG.order - 1 - v)
+    fm = qG.first_mismatch(zero(), upto=hi + v + 1)
     return IdentityReport(n, identity_id, int(hi), fm is None,
-                          None if fm is None else fm - v)
+                          None if fm is None else fm - 1 - v)
 
 
 def check_rel(n: int, identity_id: str, L: int = 300) -> IdentityReport:
@@ -219,8 +218,7 @@ def _require_min_order(n: int, L: int) -> None:
 
 def check_all(n: int, L: int = 300) -> list:
     """One report per tag of IDENTITY_IDS, in that order, from one fresh
-    build of the sides: the memo serves the tags of one call, so no report
-    reads sides built from another state of the kappa store."""
+    build of the sides, so no report reads another state of the store."""
     _require_min_order(n, L)
     _relation_sides.cache_clear()
     return [check_rel(n, tag, L) for tag in IDENTITY_IDS]
@@ -228,9 +226,7 @@ def check_all(n: int, L: int = 300) -> list:
 
 def mult_inverse_check(n: int, L: int = 300) -> IdentityReport:
     """Multiplicative inverse against the explicit Laurent pattern."""
-    n = _check_n(n)
-    _require_min_order(n, L)
-    return _check_relation(n, "multinv", L)
+    return _check_relation(_check_n(n), "multinv", L)
 
 
 def _reflection_single(n: int, identity_id: str) -> IdentityReport:

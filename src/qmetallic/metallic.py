@@ -395,11 +395,14 @@ def _zero_check(s: LaurentSeries, upto: int, label: str) -> CheckResult:
     return CheckResult(fail is None, fail, upto, label)
 
 
+def residual(n: int, f: LaurentSeries) -> LaurentSeries:
+    """q f^2 - R f - 1: zero, as far as f is known, when f is F."""
+    return (f * f).shift(1) - poly_R(n) * f - 1
+
+
 def verify_functional_equation(n: int, L: int) -> CheckResult:
     """Check q F^2 - R F - 1 == 0 through q^(L-1)."""
-    f = phi_series(n, L)
-    lhs = (f * f).shift(1) - poly_R(n) * f - 1
-    return _zero_check(lhs, L, "functional-equation")
+    return _zero_check(residual(n, phi_series(n, L)), L, "functional-equation")
 
 
 def verify_ode(n: int, L: int) -> CheckResult:

@@ -99,14 +99,85 @@ def test_check_all_rejects_a_low_order_before_any_work(monkeypatch):
         tags.clear()
 
 
+@pytest.mark.parametrize("n", (1, 2, 5))
+def test_every_series_tag_rejects_a_low_order_before_any_work(n, monkeypatch):
+    builds = []
+    monkeypatch.setattr(identities, "laurent_family",
+                        lambda *args: builds.append(args))
+    monkeypatch.setattr(identities, "kappa_values",
+                        lambda *args: builds.append(args))
+    for tag in IDENTITY_IDS[:8]:
+        with pytest.raises(ValueError,
+                           match=rf"^need L >= 2n \+ 3 = {2 * n + 3} for "
+                                 rf"n = {n}, got {2 * n + 2}$"):
+            check_rel(n, tag, 2 * n + 2)
+    assert builds == []
+
+
 def test_memoised_sides_keep_indices_apart():
     assert check_rel(1, "rel1", 60).n == 1
     rep = check_rel(2, "rel1", 60)
     assert rep.n == 2 and rep.holds
-    F, F2, _ = identities._relation_sides(2, 60)
+    F, E, _ = identities._relation_sides(2, 60)
     assert F.coefficients(0, 20) == phi_series(2, 20).coefficients(0, 20)
     assert F.coefficients(0, 20) != phi_series(1, 20).coefficients(0, 20)
-    assert F2 == F * F
+    assert E == (F * F).shift(1) - metallic.poly_R(2) * F - 1
+    assert E.is_zero and E.order == F.order
+
+
+@pytest.mark.parametrize("n", (1, 3, 8))
+def test_a_passing_relation_multiplies_no_long_series(n, monkeypatch,
+                                                      fresh_sides):
+    # with the sides built, E is zero through its order and A R + q B and
+    # A + q C vanish, so only short polynomials are ever convolved
+    L = 120
+    check_rel(n, "rel1", L)
+    lengths = []
+    real = series._convolve
+
+    def record(a, b, m):
+        lengths.append(m)
+        return real(a, b, m)
+
+    monkeypatch.setattr(series, "_convolve", record)
+    for tag in IDENTITY_IDS[:8]:
+        assert check_rel(n, tag, L).checked_order == L, tag
+    assert max(lengths) < 4 * n + 8
+
+
+def _move_entry(monkeypatch, name, row, col, term):
+    """Add the monomial term = (c, k) to entry [row][col] of identities'
+    copy of the qnum matrix `name`."""
+    rows = [list(r) for r in getattr(identities, name)]
+    rows[row][col] = rows[row][col] + series.monomial(*term)
+    monkeypatch.setattr(identities, name, tuple(tuple(r) for r in rows))
+
+
+@pytest.mark.parametrize("n", (1, 2, 5))
+def test_a_moved_reciprocal_entry_fails_only_its_relations(n, monkeypatch,
+                                                           fresh_sides):
+    # b + q^7 leaves A, so A E stays zero: only A R + q B sees the fault
+    _move_entry(monkeypatch, "RECIPROCAL", 0, 1, (1, 7))
+    failed = {r.identity_id: r.first_failure for r in check_all(n, 60)
+              if not r.holds}
+    assert failed == {"rel1": n + 7, "recip": 7}
+
+
+def test_a_moved_negate_entry_fails_only_its_relations(monkeypatch,
+                                                       fresh_sides):
+    _move_entry(monkeypatch, "NEGATE", 1, 1, (1, 9))
+    failed = {r.identity_id: r.first_failure for r in check_all(2, 60)
+              if not r.holds}
+    assert failed == {"rel2": 6, "rel4": 6, "neg": 4}
+
+
+def test_identities_command_exits_1_on_a_moved_matrix_entry(
+        capsys, monkeypatch, fresh_sides):
+    from qmetallic.cli import main
+
+    _move_entry(monkeypatch, "RECIPROCAL", 0, 1, (1, 7))
+    assert main(["identities", "--n", "2", "--order", "60"]) == 1
+    assert capsys.readouterr().err == "identities: failed: rel1\n"
 
 
 # -- division as the oracle of the cross-multiplied relations -------------------
