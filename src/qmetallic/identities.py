@@ -173,7 +173,8 @@ def _check_relation(n: int, identity_id: str, L: int) -> IdentityReport:
     """lhs = N_l/D_l against rhs = N_r/D_r through q^(hi-1), by the first
     nonzero exponent of G = N_l D_r - N_r D_l = A F^2 + B F + C, less
     val(D_l) + val(D_r).  E is zero on a correct table, and so are
-    A R + q B and A + q C for every relation, so no product runs a loop.
+    A R + q B and A + q C for every relation, so no product with F or E
+    runs a loop.
     hi is L capped by series_div's rule N.order - val(D) for each side and
     by how far q G is known."""
     _require_min_order(n, L)
