@@ -1,13 +1,18 @@
-"""check_all's JSON reports on broken inputs, pinned by sha256.
+"""check_all's JSON reports and verify's stdout on broken inputs, pinned
+by sha256.
 
-Two kinds of broken input, each at order 60:
+Three kinds of broken input:
 
 - the kappa store with one coefficient bumped, at every position
-  0..2n+5 and by +1 and by -2, for n = 1..12 (one digest per n, over all
-  positions and bumps);
+  0..2n+5 and by +1 and by -2, for n = 1..12, check_all at order 60 (one
+  digest per n, over all positions and bumps);
 - a group-action matrix of qnum with one entry moved by a monomial:
   RECIPROCAL's b entry plus q^7 (n = 1, 2, 5) and NEGATE's d entry plus
-  q^9 (n = 2).
+  q^9 (n = 2), check_all at order 60;
+- the kappa store extended to L + 2n + 2 and bumped by +1 and by -2 at
+  positions 2n+1, 2n+3, L-1, L and L+2n+1, for n = 1, 2, 5, 8: the exit
+  code and stdout of `verify --n n --L 80`, each run with a fresh cache
+  directory.  The positions from L on are read only by the identity suite.
 
 The digests pin every report field, first_failure and checked_order
 included, so a change in how the relations are compared must leave the
@@ -17,20 +22,25 @@ change of the reports:
     PYTHONPATH=src python3 tests/test_report_digests.py
 """
 
+import contextlib
 import hashlib
+import io
 import json
 import sys
+import tempfile
 from pathlib import Path
 
 import pytest
 
 from qmetallic import identities, metallic
+from qmetallic.cli import main
 from qmetallic.identities import check_all
 from qmetallic.series import monomial
 
 DIGESTS = Path(__file__).with_name("report_digests.json")
 
 L = 60
+VERIFY_L = 80
 BUMPS = (1, -2)
 # (matrix name, row, column, added monomial (coefficient, exponent), indices)
 MUTANTS = (
@@ -68,6 +78,38 @@ def bumped_store_reports(n):
     return out
 
 
+def _verify_stdout(n):
+    """[exit code, stdout] of verify --n n --L VERIFY_L, fresh cache."""
+    out = io.StringIO()
+    with tempfile.TemporaryDirectory() as d, \
+            contextlib.redirect_stdout(out), \
+            contextlib.redirect_stderr(io.StringIO()):
+        code = main(["verify", "--n", str(n), "--L", str(VERIFY_L),
+                     "--cache-dir", d])
+    return [code, out.getvalue()]
+
+
+def bumped_store_verify(n):
+    """[position, bump, exit code, stdout] of verify for each bump, from
+    the prefix's last coefficient to the identity suite's deepest read,
+    L + 2n + 1; the store is restored afterwards."""
+    saved = metallic._tables
+    clean = metallic.kappa_values(n, VERIFY_L + 2 * n + 2)
+    out = []
+    try:
+        for j in (2 * n + 1, 2 * n + 3, VERIFY_L - 1, VERIFY_L,
+                  VERIFY_L + 2 * n + 1):
+            for bump in BUMPS:
+                vals = list(clean)
+                vals[j] += bump
+                metallic._tables = {n: vals}
+                out.append([j, bump] + _verify_stdout(n))
+    finally:
+        metallic._tables = saved
+        identities._relation_sides.cache_clear()
+    return out
+
+
 def mutant_reports(name, row, col, term, n):
     """check_all with identities' copy of qnum.<name> mutated."""
     real = getattr(identities, name)
@@ -86,6 +128,9 @@ def cases():
         for n in ns:
             yield (f"{name}[{row}][{col}] + q^{term[1]} n={n}",
                    lambda a=(name, row, col, term, n): mutant_reports(*a))
+    for n in (1, 2, 5, 8):
+        yield (f"verify bumped store n={n}",
+               lambda n=n: bumped_store_verify(n))
 
 
 def digest(make):
