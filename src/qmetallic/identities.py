@@ -5,15 +5,14 @@ coefficient reflection.
 Every side of the eight series relations is a map x -> (a x + b)/(c x + d)
 of exact Laurent series at the base series F = [phi_n]_q.  One side is a
 composition of the modular group actions of module qnum; the other is
-another composition or an explicit Laurent expansion whose tail is a
-coefficient sum over the kappa table, written as beta F + b with b nonzero
-only on the prefix.  The sides are built independently and never divided
-out: N_l/D_l and N_r/D_r agree through q^(hi-1) exactly when
-G = N_l D_r - N_r D_l = A F^2 + B F + C vanishes through
-q^(hi-1+val(D_l)+val(D_r)), read off the one residual E = q F^2 - R F - 1
-as q G = A E + (A R + q B) F + (A + q C).  Every series tag rejects an
-order below min_order(n) before any work.  Reports carry the identity
-tag, the compared window, and the first mismatch on failure.
+another composition or an explicit Laurent expansion beta F + b, with b
+a Laurent polynomial below q^(2n+2) built from the 2n+2-term prefix.  The
+sides are built independently and never divided out: N_l/D_l and N_r/D_r
+agree through q^(hi-1) exactly when G = N_l D_r - N_r D_l = A F^2 + B F + C
+vanishes through q^(hi-1+val(D_l)+val(D_r)), read off the one residual
+E = q F^2 - R F - 1 as q G = A E + (A R + q B) F + (A + q C).  Every
+series tag rejects an order below min_order(n) before any work.  Reports
+carry the identity tag, the compared window, and the first mismatch.
 """
 
 from __future__ import annotations
@@ -124,8 +123,9 @@ def _compare(n: int, identity_id: str, lhs: LaurentSeries, rhs: LaurentSeries,
 
 
 def _explicit(beta: LaurentSeries, e: LaurentSeries, phi: LaurentSeries):
-    """The explicit side e as the map x -> beta x + b: both tails read the
-    same kappa values, so b = e - beta F is a Laurent polynomial."""
+    """x -> beta x + b for the explicit side e: e and beta F read each
+    kappa_j, j >= 2n+1, at the same exponent, so b = e - beta F is zero
+    from q^(2n+2) on and the family's 2n+2-term phi gives all of it."""
     b = e + (-beta) * phi
     return (beta, LaurentSeries(b.valuation, b.coeffs)), (_ZERO, _ONE)
 
@@ -146,10 +146,10 @@ def _den_valuation(identity_id: str, c: LaurentSeries, d: LaurentSeries,
 @lru_cache(maxsize=1)
 def _relation_sides(n: int, L: int) -> tuple:
     """(F, E = q F^2 - R F - 1, sides): each series tag's (lhs, rhs), maps
-    ((a, b), (c, d)) of exact series applied to F."""
-    fam = laurent_family(n, L)
+    ((a, b), (c, d)) of exact series applied to F; only F and E are long."""
     # neg reads F the furthest: q G through q^(L+n) from A E, val(A) = -n
     phi = phi_series(n, L + 2 * n + 2)
+    fam = laurent_family(n, 2 * n + 2)
     edge = _edge(n).shift(-1)  # (q^n + 1)(q - 1)/q
     sides = {
         "rel1": (_IDENTITY, _matmul(shift_map(n), RECIPROCAL)),
@@ -158,13 +158,14 @@ def _relation_sides(n: int, L: int) -> tuple:
                  ((-_ONE, q_integer(n) + edge), (_ZERO, _ONE))),
         "rel4": (_IDENTITY,
                  _matmul(((monomial(-1, n), edge), (_ZERO, _ONE)), NEGATE)),
-        "recip": (RECIPROCAL, _explicit(monomial(1, -n), fam.recip, phi)),
-        "crin": (NEG_RECIPROCAL, _explicit(-_ONE, fam.negrecip, phi)),
-        "neg": (NEGATE, _explicit(monomial(-1, -n), fam.neg, phi)),
+        "recip": (RECIPROCAL, _explicit(monomial(1, -n), fam.recip, fam.phi)),
+        "crin": (NEG_RECIPROCAL, _explicit(-_ONE, fam.negrecip, fam.phi)),
+        "neg": (NEGATE, _explicit(monomial(-1, -n), fam.neg, fam.phi)),
         # 1/F = -q [-1/phi_n], against 1/F's own pattern
         "multinv": (_matmul(((monomial(-1, 1), _ZERO), (_ZERO, _ONE)),
                             NEG_RECIPROCAL),
-                    _explicit(monomial(1, 1), _inverse_formula(n, L), phi)),
+                    _explicit(monomial(1, 1), _inverse_formula(n, 2 * n + 2),
+                              fam.phi)),
     }
     return phi, residual(n, phi), sides
 
@@ -172,9 +173,8 @@ def _relation_sides(n: int, L: int) -> tuple:
 def _check_relation(n: int, identity_id: str, L: int) -> IdentityReport:
     """lhs = N_l/D_l against rhs = N_r/D_r through q^(hi-1), by the first
     nonzero exponent of G = N_l D_r - N_r D_l = A F^2 + B F + C, less
-    val(D_l) + val(D_r).  E is zero on a correct table, and so are
-    A R + q B and A + q C for every relation, so no product with F or E
-    runs a loop.
+    val(D_l) + val(D_r).  On a correct table E, A R + q B and A + q C are
+    all zero, so a passing relation builds no long series.
     hi is L capped by series_div's rule N.order - val(D) for each side and
     by how far q G is known."""
     _require_min_order(n, L)
@@ -185,7 +185,7 @@ def _check_relation(n: int, identity_id: str, L: int) -> IdentityReport:
     v = v_l + v_r
     A = a * g - e * c
     qB = (a * h + b * g - e * d - f * c).shift(1)
-    qG = A * E + (A * poly_R(n) + qB) * F + A + (b * h - f * d).shift(1)
+    qG = A * E + (A * poly_R(n) + qB) * F + (A + (b * h - f * d).shift(1))
     # a zero a or e has valuation INF and caps nothing
     hi = min(L, F.order + a.valuation - v_l, F.order + e.valuation - v_r,
              qG.order - 1 - v)

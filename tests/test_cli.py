@@ -267,9 +267,10 @@ def test_verify_runs_the_recurrence_once(capsys, monkeypatch, tmp_path):
     code, _, _ = run(capsys, "verify", "--n", "3", "--L", "300",
                      "--cache-dir", str(tmp_path))
     assert code == 0
-    # one run from the 2n + 2 seeds to L; the identity suite's deeper
-    # windows (L + n, L + 2n + 2) only extend it, so no value is made twice
-    assert runs == [(8, 300), (300, 303), (303, 308)]
+    # one run from the 2n + 2 seeds to L; the identity suite's deeper F
+    # (to L + 2n + 2) only extends it, and its explicit sides read the
+    # prefix, so no value is made twice
+    assert runs == [(8, 300), (300, 308)]
 
 
 def test_verify_golden(capsys):

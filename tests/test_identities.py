@@ -59,7 +59,8 @@ def test_check_all_builds_the_sides_once(monkeypatch):
     identities._relation_sides.cache_clear()
     assert all(check_all(2, 70))
     assert divisions == []
-    assert builds == [(2, 70)]
+    # the explicit sides come from the 2n + 2 prefix, not from order L
+    assert builds == [(2, 6)]
     assert tags == list(IDENTITY_IDS)
 
 
@@ -129,20 +130,28 @@ def test_memoised_sides_keep_indices_apart():
 def test_a_passing_relation_multiplies_no_long_series(n, monkeypatch,
                                                       fresh_sides):
     # with the sides built, E is zero through its order and A R + q B and
-    # A + q C vanish, so only short polynomials are ever convolved
+    # A + q C vanish, so only short polynomials are ever convolved, and no
+    # series is built wider than one
     L = 120
     check_rel(n, "rel1", L)
-    lengths = []
-    real = series._convolve
+    lengths, widths = [], []
+    real, real_init = series._convolve, LaurentSeries.__init__
 
     def record(a, b, m):
         lengths.append(m)
         return real(a, b, m)
 
+    def record_init(self, valuation, coeffs, *order):
+        coeffs = list(coeffs)
+        widths.append(len(coeffs))
+        real_init(self, valuation, coeffs, *order)
+
     monkeypatch.setattr(series, "_convolve", record)
+    monkeypatch.setattr(LaurentSeries, "__init__", record_init)
     for tag in IDENTITY_IDS[:8]:
         assert check_rel(n, tag, L).checked_order == L, tag
     assert max(lengths) < 4 * n + 8
+    assert max(widths) < 4 * n + 8
 
 
 def _move_entry(monkeypatch, name, row, col, term):
