@@ -59,7 +59,7 @@ def test_check_all_builds_the_sides_once(monkeypatch):
     identities._relation_sides.cache_clear()
     assert all(check_all(2, 70))
     assert divisions == []
-    # the explicit sides come from the 2n + 2 prefix, not from order L
+    # one family build, from the 2n + 2-term prefix
     assert builds == [(2, 6)]
     assert tags == list(IDENTITY_IDS)
 
