@@ -19,11 +19,11 @@ from mpmath import mp
 from . import asymptotics as asym
 from .cache import RunManifest, atomic_write, cache_refresh, cached_table
 from .errors import NotMonomialDenominator, QMetallicError
-from .identities import (check_all, conjugate_onset, conjugate_pair_check,
-                         min_order)
+from .identities import (_relation_sides, check_all, conjugate_onset,
+                         conjugate_pair_check, min_order)
 from .logbehaviour import classify, sign_flip_lemma_check
-from .metallic import (canonical_engine_tag, coeffs_p_recurrence, hankel,
-                       table_engine, verify_functional_equation, verify_ode)
+from .metallic import (_zero_check, canonical_engine_tag, coeffs_p_recurrence,
+                       hankel, table_engine, verify_ode)
 from .qnum import (cf_to_text, parse_cf, q_rational, quantize_quadratic,
                    rational_value)
 from .rna import count_grid, enumerate_structures, sign_bridge_check
@@ -105,8 +105,12 @@ def _verify_checks(n: int, L: int, cache_dir):
         yield "engine_agreement", False, agreement
         return
 
-    yield _guarded("functional_equation", lambda: _window(
-        verify_functional_equation(n, L), "checked_order", "first_failure"))
+    # one square of F, to L + 2n + 2, serves both lines: the functional
+    # equation's reads E through q^(L-1), which reads only kappa_0..kappa_(L-1)
+    identities_line = _guarded("identities", lambda: _identities_line(n, L))
+    yield _guarded("functional_equation", lambda: _window(_zero_check(
+        _relation_sides(n, L)[1], L, "functional-equation"),
+        "checked_order", "first_failure"))
     yield _guarded("ode", lambda: _window(
         verify_ode(n, L), "checked_order", "first_failure"))
 
@@ -128,7 +132,7 @@ def _verify_checks(n: int, L: int, cache_dir):
     corrupt = cache_refresh(n, agreed, L, cache_dir)
     yield "engine_agreement", agreement["bad"] is None, agreement
 
-    yield _guarded("identities", lambda: _identities_line(n, L))
+    yield identities_line
     yield _guarded("hankel_range", lambda: _hankel_line(n))
     if n == 1:
         yield _guarded("sign_bridge", lambda: _window(

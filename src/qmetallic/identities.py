@@ -146,7 +146,7 @@ def _den_valuation(identity_id: str, c: LaurentSeries, d: LaurentSeries,
 @lru_cache(maxsize=1)
 def _relation_sides(n: int, L: int) -> tuple:
     """(F, E = q F^2 - R F - 1, sides): each series tag's (lhs, rhs), maps
-    ((a, b), (c, d)) of exact series applied to F; only F and E are long."""
+    ((a, b), (c, d)) at F; only F and E are long, and verify reads E too."""
     # neg reads F the furthest: q G through q^(L+n) from A E, val(A) = -n
     phi = phi_series(n, L + 2 * n + 2)
     fam = laurent_family(n, 2 * n + 2)

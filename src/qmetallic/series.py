@@ -298,7 +298,6 @@ def _window_div(num: Sequence, den: Sequence, n: int) -> list:
     """First n coefficients of num / den, den[0] != 0, by one triangular
     solve; entries past the end of either list count as zero."""
     d0 = den[0]
-    inv0 = d0 if d0 in (1, -1) else Fraction(1) / d0
     ln, ld = len(num), len(den)
     out = []
     for k in range(n):
@@ -307,7 +306,8 @@ def _window_div(num: Sequence, den: Sequence, n: int) -> list:
             di = den[i]
             if di:
                 acc -= di * out[k - i]
-        out.append(_canon(inv0 * acc) if acc else 0)
+        quo, rem = divmod(acc, d0)
+        out.append(Fraction(acc, d0) if rem else quo)
     return out
 
 

@@ -262,8 +262,17 @@ def test_verify_runs_the_recurrence_once(capsys, monkeypatch, tmp_path):
         runs.append((len(vals), L))
         return extend(n, vals, L)
 
+    squared = []
+    residual = metallic.residual
+
+    def residual_spy(n, f):
+        squared.append(f.order)
+        return residual(n, f)
+
     monkeypatch.setattr(metallic, "_tables", {})
     monkeypatch.setattr(metallic, "_p_extend", spy)
+    for mod in (metallic, identities):
+        monkeypatch.setattr(mod, "residual", residual_spy)
     code, _, _ = run(capsys, "verify", "--n", "3", "--L", "300",
                      "--cache-dir", str(tmp_path))
     assert code == 0
@@ -271,6 +280,9 @@ def test_verify_runs_the_recurrence_once(capsys, monkeypatch, tmp_path):
     # (to L + 2n + 2) only extends it, and its explicit sides read the
     # prefix, so no value is made twice
     assert runs == [(8, 300), (300, 308)]
+    # and F is squared once: the functional equation's line reads the
+    # identity suite's residual
+    assert squared == [308]
 
 
 def test_verify_golden(capsys):
@@ -464,8 +476,11 @@ def test_verify_finds_a_series_square_without_its_middle_term(
 def test_verify_reports_a_package_error_in_a_later_check(capsys, monkeypatch,
                                                         tmp_path, request):
     # with the reference already in the store, the broken square first
-    # raises in the ODE check's poly_P: a failed line, not a crash
+    # raises in poly_P while the identity suite extends F to L + 2n + 2,
+    # which the functional equation's line reads too: failed lines, not a
+    # crash
     request.addfinalizer(identities._relation_sides.cache_clear)
+    monkeypatch.setattr(metallic, "_tables", {})
     kappa_values(2, 60)
     _drop_middle_square(monkeypatch)
     code, out, err = run(capsys, "verify", "--n", "2", "--L", "60",
@@ -474,6 +489,9 @@ def test_verify_reports_a_package_error_in_a_later_check(capsys, monkeypatch,
     assert code == 1
     assert err == "verify: first failing check: functional_equation\n"
     message = "discriminant factorization failed for n = 2"
+    assert checks["functional_equation"] == {
+        "name": "functional_equation", "ok": False,
+        "detail": {"error": message}}
     assert checks["ode"] == {"name": "ode", "ok": False,
                              "detail": {"error": message}}
     assert checks["identities"]["detail"] == {"error": message}
