@@ -23,7 +23,6 @@ import cmath
 import itertools
 import math
 import threading
-from dataclasses import dataclass
 
 from mpmath import mp, mpf, mpc, fabs, sqrt, pi, re, im, nstr
 
@@ -33,6 +32,7 @@ from .errors import (
     NoConvergence,
 )
 from .metallic import kappa_values, poly_Q, _check_n
+from .record import record
 from .series import poly_coeffs
 
 DEFAULT_PRECISION = 256
@@ -276,7 +276,7 @@ def all_roots(coeffs, precision_bits: int) -> CertifiedRoots:
 # -- singularity data -------------------------------------------------------------
 
 
-@dataclass(frozen=True)
+@record
 class SingularityReport:
     """Roots of Q_n with the dominant subset and calibrated constants."""
 

@@ -28,8 +28,7 @@ import json
 import os
 import re
 import tempfile
-from dataclasses import dataclass, field
-from datetime import datetime, timezone
+import time
 
 from .errors import CacheCorrupt
 from .metallic import (ENGINE_TAGS, CoeffTable, _check_n,
@@ -171,17 +170,22 @@ def file_sha256(path: str) -> str:
     return h.hexdigest()
 
 
-@dataclass
 class RunManifest:
-    """Reproducibility record written next to every experiment output."""
+    """Reproducibility record written next to every experiment output.
 
-    command: str
-    parameters: dict
-    artifact_version: str = ARTIFACT_VERSION
-    timestamp: str = field(
-        default_factory=lambda: datetime.now(timezone.utc)
-        .isoformat(timespec="seconds"))
-    outputs: list = field(default_factory=list)
+    The timestamp defaults to the current UTC time in ISO 8601 form to the
+    second, e.g. 2026-01-31T12:00:00+00:00; each manifest gets its own
+    outputs list."""
+
+    def __init__(self, command: str, parameters: dict,
+                 artifact_version: str = ARTIFACT_VERSION,
+                 timestamp: str | None = None, outputs: list | None = None):
+        self.command = command
+        self.parameters = parameters
+        self.artifact_version = artifact_version
+        self.timestamp = (time.strftime("%Y-%m-%dT%H:%M:%S+00:00", time.gmtime())
+                          if timestamp is None else timestamp)
+        self.outputs = [] if outputs is None else outputs
 
     def add_output(self, path: str) -> None:
         self.outputs.append({"path": os.path.basename(path),

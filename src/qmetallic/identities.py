@@ -17,12 +17,12 @@ carry the identity tag, the compared window, and the first mismatch.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
 
 from .errors import NotMonomialDenominator, ZeroSeries
 from .metallic import (_check_n, _edge, kappa_values, phi_series, poly_P,
                        poly_R, residual)
+from .record import record
 from .qnum import (
     _IDENTITY,
     _ONE,
@@ -47,7 +47,7 @@ IDENTITY_IDS = (
 _REPORT_IDS = IDENTITY_IDS + ("reflect", "conjugate")
 
 
-@dataclass(frozen=True)
+@record
 class IdentityReport:
     n: int
     identity_id: str
@@ -74,7 +74,7 @@ class IdentityReport:
         }
 
 
-@dataclass(frozen=True)
+@record
 class LaurentFamily:
     """The deformed family around index n, all as Laurent series."""
 

@@ -10,11 +10,11 @@ index: the largest suffix of constant D-sign, its start ("onset"), and a
 capped sample of earlier violations.  The onset is data, not a theorem.
 """
 
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional
 
 from .metallic import CheckResult, _check_n, kappa_values
+from .record import record
 from .rna import rna_recurrence
 
 CLASSIFICATIONS = ("log-convex", "log-concave", "mixed", "undetermined")
@@ -24,7 +24,7 @@ MIXED_FRACTION = 4
 VIOLATION_CAP = 32
 
 
-@dataclass(frozen=True)
+@record
 class LogReport:
     """Empirical log-behaviour of one coefficient sequence."""
 

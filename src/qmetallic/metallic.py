@@ -18,12 +18,12 @@ from __future__ import annotations
 import decimal
 import math
 import threading
-from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import (BadTable, NonExactDivision, NonIntegralResult,
                      QMetallicError)
 from .qnum import QuadraticForm
+from .record import record
 from .series import LaurentSeries, _square_sum, monomial, poly_coeffs, zero
 
 ENGINE_TAGS = ("conv", "precurrence", "closedform", "sqrt")
@@ -127,7 +127,7 @@ class CoeffTable:
         return self.values[l]
 
 
-@dataclass(frozen=True)
+@record
 class RecurrenceSpec:
     """Linear recurrence sum_j c_j(l) kappa_{l-j} = 0 with c_j(l) = a j-th
     pair (a, b) meaning a*l + b; lags run 0..order, zero pairs included."""
@@ -377,7 +377,7 @@ def phi_series(n: int, L: int) -> LaurentSeries:
 # -- verification ----------------------------------------------------------------
 
 
-@dataclass(frozen=True)
+@record
 class CheckResult:
     """Truthy when the identity holds through the checked window."""
 

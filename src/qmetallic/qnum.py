@@ -18,11 +18,11 @@ _act applies one to a series.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from functools import lru_cache, reduce
 from fractions import Fraction
 
 from .errors import BranchMismatch, NoStabilization
+from .record import record
 from .series import (
     INF,
     LaurentSeries,
@@ -54,7 +54,7 @@ def q_integer_recip_base(n: int) -> LaurentSeries:
 # -- continued fractions ------------------------------------------------------
 
 
-@dataclass(frozen=True)
+@record
 class PeriodicCF:
     """Regular continued fraction with an eventually periodic tail.
 
@@ -219,7 +219,7 @@ def _divide_by_gcd(*series: LaurentSeries) -> list:
     return list(series) if g == _ONE else [poly_divexact(s, g) for s in series]
 
 
-@dataclass(frozen=True)
+@record
 class QRational:
     """Deformed rational as a reduced ratio of integer polynomials."""
 
@@ -258,7 +258,7 @@ def q_rational(r: int, s: int) -> QRational:
 # -- quadratic irrationals ----------------------------------------------------
 
 
-@dataclass(frozen=True)
+@record
 class QuadraticForm:
     """Deformed quadratic irrational: value = (R + sign*sqrt(P)) / S.
 
