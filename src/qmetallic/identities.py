@@ -22,7 +22,6 @@ from functools import lru_cache
 from .errors import NotMonomialDenominator, ZeroSeries
 from .metallic import (_check_n, _edge, kappa_values, phi_series, poly_P,
                        poly_R, residual)
-from .record import record
 from .qnum import (
     _IDENTITY,
     _ONE,
@@ -37,6 +36,7 @@ from .qnum import (
     quantize_quadratic,
     shift_map,
 )
+from .record import record
 from .series import LaurentSeries, monomial, poly_coeffs, reversal, zero
 
 IDENTITY_IDS = (
