@@ -11,12 +11,12 @@ log-behaviour of the coefficient sequences -- all in exact arithmetic
 except the explicitly multiprecision asymptotics.
 """
 
-from .errors import (BadConstantTerm, BranchMismatch, BudgetExceeded,
-                     CacheCorrupt, ImaginaryResidual, InsufficientOrder,
-                     MultipleRoot, NoConvergence, NonExactDivision,
-                     NonIntegralCoefficient, NonIntegralResult,
-                     NoStabilization, NotMonomialDenominator, QMetallicError,
-                     ZeroSeries)
+from .errors import (BadConstantTerm, BranchCut, BranchMismatch,
+                     BudgetExceeded, CacheCorrupt, ImaginaryResidual,
+                     InsufficientOrder, MultipleRoot, NoConvergence,
+                     NonExactDivision, NonIntegralCoefficient,
+                     NonIntegralResult, NoStabilization,
+                     NotMonomialDenominator, QMetallicError, ZeroSeries)
 from .series import (INF, LaurentSeries, constant, format_q, from_json,
                      monomial, poly_coeffs, poly_divexact, poly_gcd, reversal,
                      series_div, series_inverse, series_mul, series_sqrt,
@@ -31,9 +31,10 @@ from .metallic import (ENGINE_TAGS, CheckResult, CoeffTable, RecurrenceSpec,
                        kappa_values, phi_series, poly_P, poly_Q, poly_R,
                        recurrence_spec, table_engine,
                        verify_functional_equation, verify_ode)
+from .dyadic import Dyadic, DyadicComplex, nstr
 from .asymptotics import (SingularityReport, all_roots, gamma_coeff,
-                          leading_term, radius, ratio_table, roots_Q,
-                          singularity_report)
+                          leading_term, radius, ratio_table, ratio_values,
+                          roots_Q, singularity_report)
 from .identities import (IDENTITY_IDS, IdentityReport, alpha_poly, check_all,
                          check_rel, conjugate_onset, conjugate_pair_check,
                          laurent_family, min_order, mult_inverse_check,

@@ -13,8 +13,11 @@ leading asymptotic term
 
     alpha_l = sum_j (-gamma_j / (2 sqrt(pi))) zeta_j^(-l) l^(-3/2).
 
-Complex values are mpmath `mpc` numbers carried at an explicit bit
-precision (>= 128 everywhere in this module).
+The constants come from the product of principal square roots over all
+roots of Q_n (singularity analysis, Flajolet & Sedgewick, Analytic
+Combinatorics, Thm VI.1).  Everything runs in big-int fixed point at the
+precision plus 64 guard bits (>= 192 bits everywhere in this module), and
+the values are exact `Dyadic` / `DyadicComplex` numbers.
 """
 
 from __future__ import annotations
@@ -24,9 +27,10 @@ import itertools
 import math
 import threading
 
-from mpmath import mp, mpf, mpc, fabs, sqrt, pi, re, im, nstr
-
+from .dyadic import (Dyadic, DyadicComplex, cdiv, cmul, cpow, csqrt, nstr,
+                     pi_units, units)
 from .errors import (
+    BranchCut,
     ImaginaryResidual,
     MultipleRoot,
     NoConvergence,
@@ -37,7 +41,6 @@ from .series import poly_coeffs
 
 DEFAULT_PRECISION = 256
 _GUARD_BITS = 64
-_CALIBRATION_PROBE = 400
 
 
 def _check_precision(bits: int) -> int:
@@ -167,8 +170,8 @@ def _inclusion_disk(deg, P, x, y, pr, pi_, dr, di):
     """(bound on |p(z)|, radius) in units, for z = (x, y) with p, p' there.
 
     The radius is the Newton disk deg*|p/p'| with the rounding of both
-    evaluations, plus the rounding of z to P-bit mpf parts.  It holds at
-    least one root."""
+    evaluations, plus 2(|z| + 1) units of slack.  It holds at least one
+    root."""
     m = math.isqrt(x * x + y * y) + 1
     ep, edp = _horner_error(deg, m, P)
     residual = math.isqrt(pr * pr + pi_ * pi_) + 1 + ep
@@ -258,19 +261,16 @@ def all_roots(coeffs, precision_bits: int) -> CertifiedRoots:
             disks.append((x, -y, r))
         disks.append((x, y, r))
     if worst * 10 ** (bits // 4) >= 1 << P:
-        with mp.workprec(P):
-            raise NoConvergence(
-                f"residual {nstr(mpf((worst, -P)), 5)} above bound "
-                f"{nstr(mpf(10) ** (-(bits // 4)), 5)}")
+        raise NoConvergence(f"residual {nstr(Dyadic(worst, -P), 5)} above "
+                            f"bound 1.0e-{bits // 4}")
     disks.sort(key=lambda d: _order_key(d, 1 << P))
     for (i, (xi, yi, ri)), (j, (xj, yj, rj)) in itertools.combinations(
             enumerate(disks), 2):
         if (xi - xj) ** 2 + (yi - yj) ** 2 <= (ri + rj) ** 2:
             raise MultipleRoot(f"inclusion disks of roots {i} and {j} overlap")
-    with mp.workprec(P):
-        return CertifiedRoots(
-            [mpc(mpf((x, -P)), mpf((y, -P))) for x, y, _ in disks],
-            [mpf((r, -P)) for *_, r in disks], sweeps)
+    return CertifiedRoots(
+        [DyadicComplex(Dyadic(x, -P), Dyadic(y, -P)) for x, y, _ in disks],
+        [Dyadic(r, -P) for *_, r in disks], sweeps)
 
 
 # -- singularity data -------------------------------------------------------------
@@ -278,7 +278,7 @@ def all_roots(coeffs, precision_bits: int) -> CertifiedRoots:
 
 @record
 class SingularityReport:
-    """Roots of Q_n with the dominant subset and calibrated constants."""
+    """Roots of Q_n with the dominant subset and their square-root constants."""
 
     n: int
     precision_bits: int
@@ -299,54 +299,106 @@ _reports: dict = {}
 _reports_lock = threading.Lock()
 
 
-def _gamma_raw(coeffs, zeta):
-    """Principal-branch square-root constant at a simple root of the
-    polynomial Q with these (ascending) coefficients."""
-    with mp.extraprec(_GUARD_BITS):
-        _, dq = _horner2(coeffs, zeta)
-        if fabs(dq) < mpf(2) ** (-(mp.prec // 2)):
-            raise MultipleRoot(f"derivative vanishes at {nstr(zeta, 8)}")
-        # Q(q)/(zeta - q) at q=zeta equals -Q'(zeta)
-        return 1 / (2 * zeta) * sqrt((1 - zeta + zeta * zeta) * zeta * (-dq))
+def _fixed(z, P: int) -> tuple:
+    """The parts of z in units of 2^-P (exact for the values held here)."""
+    return units(z.real, P), units(z.imag, P)
 
 
-def _alpha_from(dominant, gammas, l):
-    with mp.extraprec(_GUARD_BITS):
-        total = mpc(0)
-        for g, z in zip(gammas, dominant):
-            total += -g / (2 * sqrt(pi)) * z ** (-l)
-        return total * mpf(l) ** (mpf(-3) / 2)
+def _complex(x: int, y: int, P: int) -> DyadicComplex:
+    return DyadicComplex(Dyadic(x, -P), Dyadic(y, -P))
+
+
+def _gamma_raw(scaled, x, y, P):
+    """Principal-branch square-root constant at a simple root z = (x, y) of
+    Q, whose coefficients times 2^P are `scaled` (highest first): since
+    Q(q)/(z - q) -> -Q'(z), it is sqrt((1 - z + z^2) z (-Q'(z))) / (2z)."""
+    _, _, dr, di = _horner_fixed(scaled, x, y, P)
+    if dr * dr + di * di < 1 << P:  # |Q'(z)| < 2^(-P/2)
+        raise MultipleRoot(f"derivative vanishes at ({nstr(Dyadic(x, -P), 8)}, "
+                           f"{nstr(Dyadic(y, -P), 8)})")
+    zr, zi = cmul(x, y, x, y, P)
+    a, b = cmul((1 << P) - x + zr, zi - y, x, y, P)
+    a, b = cmul(a, b, -dr, -di, P)
+    return cdiv(*csqrt(a, b, P), 2 * x, 2 * y, P)
+
+
+def _gamma_product(pts, k, P):
+    """The square-root constant at the dominant root z_k, gamma_k =
+    H(z_k) / (2 z_k) with
+
+        H(z_k) = sqrt(1 - z_k/w) sqrt(1 - z_k/conj(w)) prod_(j != k) sqrt(1 - z_k/z_j),
+
+    w = e^(i pi/3), every root principal.  Q(0) = 1, so on the disk of
+    convergence sqrt((1 - q + q^2) Q(q)) = 2qF - R is the product of the
+    principal roots sqrt(1 - q/w), sqrt(1 - q/conj(w)) and sqrt(1 - q/z_j),
+    and near z_k the series is gamma_k sqrt(1 - q/z_k) plus an analytic part.
+    `pts` holds every root and its inclusion radius, (x, y, r) in units of
+    2^-P.  Raises BranchCut unless every factor keeps a positive real part
+    over the inclusion disks, so that no root is taken across its cut."""
+    one = 1 << P
+    xk, yk, rk = pts[k]
+    mk = math.isqrt(xk * xk + yk * yk) + 1 + rk  # >= |z_k|, and its root's
+    half3 = math.isqrt(3 << 2 * P) >> 1  # sqrt(3)/2
+    factors = []
+    for c, d in ((one >> 1, -half3), (one >> 1, half3)):  # z/w, z/conj(w)
+        qr, qi = cmul(xk, yk, c, d, P)
+        factors.append((one - qr, -qi, rk + 4))
+    for j, (xj, yj, rj) in enumerate(pts):
+        if j != k:
+            qr, qi = cdiv(xk, yk, xj, yj, P)
+            # <= |z_j| and its root's modulus; 1 unit if the disk reaches 0,
+            # so that the bound below refuses it
+            mj = max(math.isqrt(xj * xj + yj * yj) - rj, 1)
+            # the root quotient is within (r_k + |z_k| r_j / |z_j|) / |zeta_j|
+            err = ((rk + mk * rj // mj + 1) << P) // mj + 3
+            factors.append((one - qr, -qi, err))
+    hx, hy = one, 0
+    for a, b, err in factors:
+        if a <= err:
+            raise BranchCut("a square-root factor of the constant at "
+                            f"({nstr(Dyadic(xk, -P), 8)}, "
+                            f"{nstr(Dyadic(yk, -P), 8)}) reaches its cut")
+        hx, hy = cmul(hx, hy, *csqrt(a, b, P), P)
+    if yk == 0:  # the factors pair off into conjugates: H is real
+        hy = 0
+    return cdiv(hx, hy, 2 * xk, 2 * yk, P)
 
 
 def _build_report(n: int, bits: int) -> SingularityReport:
     coeffs = poly_coeffs(poly_Q(n))
     roots = all_roots(coeffs, bits)
-    with mp.workprec(bits + _GUARD_BITS):
-        moduli = [fabs(z) for z in roots]
-        rho = min(moduli)
-        # dominant: every root whose disk reaches the innermost outer edge
-        edge = min(m + r for m, r in zip(moduli, roots.radii))
-        dom = [z for z, m, r in zip(roots, moduli, roots.radii)
-               if m - r <= edge]
-        gammas = [_gamma_raw(coeffs, z) for z in dom]
-        # Branch calibration: one exact-coefficient probe fixes the sign of
-        # the square root for the whole dominant family.
-        probe = _CALIBRATION_PROBE
-        k = kappa_values(n, probe + 1)[probe]
-        flipped = bool(re(_alpha_from(dom, gammas, probe)) * k < 0)
-        if flipped:
-            gammas = [-g for g in gammas]
-        return SingularityReport(
-            n=n,
-            precision_bits=bits,
-            all_roots=tuple(roots),
-            dominant=tuple(dom),
-            radius=+rho,
-            gammas=tuple(gammas),
-            branch_flipped=flipped,
-            inclusion_radius=max(roots.radii),
-            float_sweeps=roots.float_sweeps,
-        )
+    P = bits + _GUARD_BITS
+    pts = [(*_fixed(z, P), units(r, P)) for z, r in zip(roots, roots.radii)]
+    moduli = [math.isqrt(x * x + y * y) for x, y, _ in pts]
+    # dominant: every root whose disk reaches the innermost outer edge
+    edge = min(m + r for m, (*_, r) in zip(moduli, pts))
+    dom = [k for k, (m, (*_, r)) in enumerate(zip(moduli, pts)) if m - r <= edge]
+    scaled = [c << P for c in reversed(coeffs)]
+    gammas, flipped = {}, False
+    for k in dom:
+        x, y, _ = pts[k]
+        if (x, -y) in gammas:  # the mirror of a done root: the conjugate
+            gx, gy = gammas[x, -y]
+            gammas[x, y] = gx, -gy
+            continue
+        gx, gy = gammas[x, y] = _gamma_product(pts, k, P)
+        rx, ry = _gamma_raw(scaled, x, y, P)
+        dot = gx * rx + gy * ry  # Re(gamma conj(raw)), +-|gamma|^2 in theory
+        if 2 * abs(dot) < gx * gx + gy * gy:
+            raise BranchCut("the root product and Q'(zeta) disagree on "
+                            f"|gamma| at n={n}")
+        flipped = flipped or dot < 0
+    return SingularityReport(
+        n=n,
+        precision_bits=bits,
+        all_roots=tuple(roots),
+        dominant=tuple(roots[k] for k in dom),
+        radius=Dyadic(min(moduli), -P),
+        gammas=tuple(_complex(*gammas[pts[k][:2]], P) for k in dom),
+        branch_flipped=flipped,
+        inclusion_radius=max(roots.radii),
+        float_sweeps=roots.float_sweeps,
+    )
 
 
 def singularity_report(n: int, precision_bits: int = DEFAULT_PRECISION) -> SingularityReport:
@@ -372,18 +424,47 @@ def radius(n: int, precision_bits: int = DEFAULT_PRECISION):
 
 
 def gamma_coeff(n: int, zeta, precision_bits: int = DEFAULT_PRECISION):
-    """Calibrated square-root constant for a dominant root (principal branch
-    for the non-dominant ones, where no probe applies)."""
+    """Square-root constant at a root zeta of Q_n: the report's for a
+    dominant root, the principal-branch one for the others, where the
+    product rule does not apply.  zeta is any number whose .real and .imag
+    have `as_integer_ratio` (a root from the report, a Python complex)."""
     rep = singularity_report(n, precision_bits)
-    with mp.workprec(rep.precision_bits + _GUARD_BITS):
-        ztol = mpf(2) ** (-(rep.precision_bits // 2))
-        for z, g in zip(rep.dominant, rep.gammas):
-            if fabs(z - zeta) <= ztol * max(1, fabs(z)):
-                return g
-        for z in rep.all_roots:
-            if fabs(z - zeta) <= ztol * max(1, fabs(z)):
-                return _gamma_raw(poly_coeffs(poly_Q(n)), mpc(zeta))
+    P = rep.precision_bits + _GUARD_BITS
+    x, y = _fixed(zeta, P)
+    tol = 1 << (P - rep.precision_bits // 2)
+
+    def near(z):
+        zx, zy = _fixed(z, P)
+        scale = max(1 << P, math.isqrt(zx * zx + zy * zy))
+        return (zx - x) ** 2 + (zy - y) ** 2 <= (tol * scale >> P) ** 2
+
+    for z, g in zip(rep.dominant, rep.gammas):
+        if near(z):
+            return g
+    for z in rep.all_roots:
+        if near(z):
+            scaled = [c << P for c in reversed(poly_coeffs(poly_Q(n)))]
+            return _complex(*_gamma_raw(scaled, *_fixed(z, P), P), P)
     raise ValueError("zeta is not a root of Q_n at this precision")
+
+
+def _alpha(rep: SingularityReport, l: int) -> tuple:
+    """alpha_l as (re, im, e), the value (re + i im) 2^e."""
+    P = rep.precision_bits + _GUARD_BITS
+    terms = []
+    for z, g in zip(rep.dominant, rep.gammas):
+        x, y = _fixed(z, P)
+        d = x * x + y * y
+        # zeta^(-l) outgrows any fixed point: powered as (mantissa, exponent)
+        a, b, e = cpow((x << 2 * P) // d, (-y << 2 * P) // d, -P, l, P)
+        gx, gy = _fixed(g, P)
+        terms.append((gx * a - gy * b, gx * b + gy * a, e - P))
+    f = min(e for *_, e in terms)
+    sr = sum(re << (e - f) for re, _, e in terms)
+    si = sum(im << (e - f) for _, im, e in terms)
+    # alpha_l = -sum / (2 sqrt(pi) l^(3/2)), the divisor in units
+    den = (2 * l * math.isqrt(pi_units(P) << P) * math.isqrt(l << 2 * P)) >> P
+    return -(sr << P) // den, -(si << P) // den, f
 
 
 def leading_term(n: int, l: int, precision_bits: int = DEFAULT_PRECISION):
@@ -391,14 +472,11 @@ def leading_term(n: int, l: int, precision_bits: int = DEFAULT_PRECISION):
     if l < 1:
         raise ValueError("need l >= 1")
     rep = singularity_report(n, precision_bits)
-    with mp.workprec(rep.precision_bits + _GUARD_BITS):
-        total = _alpha_from(rep.dominant, rep.gammas, l)
-        tol = mpf(10) ** (-(rep.precision_bits // 4))
-        if fabs(im(total)) > tol * fabs(re(total)):
-            raise ImaginaryResidual(
-                f"imaginary part {nstr(im(total), 5)} too large at l={l}"
-            )
-        return re(total)
+    re, im, e = _alpha(rep, l)
+    if abs(im) * 10 ** (rep.precision_bits // 4) > abs(re):
+        raise ImaginaryResidual(
+            f"imaginary part {nstr(Dyadic(im, e), 5)} too large at l={l}")
+    return Dyadic(re, e)
 
 
 # the shipped ratio tables: file stem -> index n, and the sampled l
@@ -406,18 +484,26 @@ TABLE_INDEX = {"table1": 1, "table2": 2, "table3": 3}
 TABLE_LS = tuple(range(100, 2001, 100))
 
 
-def ratio_table(n: int, l_values, precision_bits: int = DEFAULT_PRECISION):
-    """Rows (l, alpha_l / kappa_l as a 15-significant-digit string)."""
+def ratio_values(n: int, l_values, precision_bits: int = DEFAULT_PRECISION):
+    """Rows (l, alpha_l / kappa_l), the quotient to precision_bits + 64
+    significant bits."""
     ls = [int(l) for l in l_values]
     if any(l < 1 for l in ls):
         raise ValueError("need l >= 1")
     vals = kappa_values(n, max(ls) + 1)
-    rep = singularity_report(n, precision_bits)
+    P = _check_precision(precision_bits) + _GUARD_BITS
     out = []
-    with mp.workprec(rep.precision_bits + _GUARD_BITS):
-        for l in ls:
-            if vals[l] == 0:
-                raise ZeroDivisionError(f"coefficient at l={l} is zero")
-            r = leading_term(n, l, precision_bits) / vals[l]
-            out.append((l, nstr(r, 15, strip_zeros=False)))
+    for l in ls:
+        k = vals[l]
+        if k == 0:
+            raise ZeroDivisionError(f"coefficient at l={l} is zero")
+        a = leading_term(n, l, precision_bits)
+        s = max(P + k.bit_length() - abs(a.man).bit_length(), 0)
+        out.append((l, Dyadic((a.man << s) // k, a.exp - s)))
     return out
+
+
+def ratio_table(n: int, l_values, precision_bits: int = DEFAULT_PRECISION):
+    """Rows (l, alpha_l / kappa_l as a 15-significant-digit string)."""
+    return [(l, nstr(r, 15, strip_zeros=False))
+            for l, r in ratio_values(n, l_values, precision_bits)]

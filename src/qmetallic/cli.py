@@ -14,10 +14,9 @@ import json
 import os
 import sys
 
-from mpmath import mp
-
 from . import asymptotics as asym
 from .cache import RunManifest, atomic_write, cache_refresh, cached_table
+from .dyadic import nstr
 from .errors import NotMonomialDenominator, QMetallicError
 from .identities import (_relation_sides, check_all, conjugate_onset,
                          conjugate_pair_check, min_order)
@@ -219,8 +218,8 @@ def cmd_tables(args) -> int:
     return 0
 
 
-def _mpc_str(z, digits: int = 30) -> dict:
-    return {"re": mp.nstr(z.real, digits), "im": mp.nstr(z.imag, digits)}
+def _complex_str(z, digits: int = 30) -> dict:
+    return {"re": nstr(z.real, digits), "im": nstr(z.imag, digits)}
 
 
 def cmd_asymptotics(args) -> int:
@@ -228,12 +227,12 @@ def cmd_asymptotics(args) -> int:
     doc = {
         "n": rep.n,
         "precision_bits": rep.precision_bits,
-        "radius": mp.nstr(rep.radius, 30),
-        "inclusion_radius": mp.nstr(rep.inclusion_radius, 5),
-        "dominant": [_mpc_str(z) for z in rep.dominant],
-        "gamma": [_mpc_str(g) for g in rep.gammas],
+        "radius": nstr(rep.radius, 30),
+        "inclusion_radius": nstr(rep.inclusion_radius, 5),
+        "dominant": [_complex_str(z) for z in rep.dominant],
+        "gamma": [_complex_str(g) for g in rep.gammas],
         "branch_flipped": rep.branch_flipped,
-        "roots": [_mpc_str(z) for z in rep.all_roots],
+        "roots": [_complex_str(z) for z in rep.all_roots],
     }
     _out(json.dumps(doc, indent=1))
     return 0
@@ -242,11 +241,11 @@ def cmd_asymptotics(args) -> int:
 def cmd_radius(args) -> int:
     r = asym.radius(args.n, args.precision_bits)
     if args.format == "csv":
-        _out(f"n,radius\n{args.n},{mp.nstr(r, 20)}")
+        _out(f"n,radius\n{args.n},{nstr(r, 20)}")
     else:
         _out(json.dumps({"n": args.n,
                          "precision_bits": args.precision_bits,
-                         "radius": mp.nstr(r, 20)}, indent=1))
+                         "radius": nstr(r, 20)}, indent=1))
     return 0
 
 

@@ -55,6 +55,11 @@ class MultipleRoot(QMetallicError):
     """Residue computation hit a (numerically) multiple root."""
 
 
+class BranchCut(QMetallicError):
+    """A square-root factor of a singular constant could not be kept off
+    its branch cut."""
+
+
 class ImaginaryResidual(QMetallicError):
     """A quantity that must be real retained a non-negligible imaginary part."""
 

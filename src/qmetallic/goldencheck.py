@@ -13,20 +13,20 @@ bounds.
 
 import json
 import os
-
-from mpmath import mp, mpf
+from fractions import Fraction
 
 from . import asymptotics as asym
 from .asymptotics import TABLE_INDEX, TABLE_LS
+from .dyadic import nstr
 from .identities import laurent_family
 from .metallic import kappa_values, phi_series, poly_P, poly_Q, poly_R
 from .qnum import negate, neg_reciprocal, parse_cf, q_real_truncated, quantize_quadratic
 from .rna import motzkin_values, rna_recurrence
 from .series import from_json, poly_coeffs, series_inverse
 
-REL_TOL = mpf("5e-12")
+REL_TOL = Fraction("5e-12")
 # (table, l) -> relaxed tolerance for the one documented noisy reference entry
-DEFECT_TOL = {("table2", 1700): mpf("5e-10")}
+DEFECT_TOL = {("table2", 1700): Fraction("5e-10")}
 
 
 def _read(goldens_dir: str, name: str):
@@ -110,12 +110,11 @@ def golden_failures(goldens_dir: str, precision_bits: int = 256) -> list:
             l_str, v = line.split(",", 1)
             want[int(l_str)] = v
         got_rows = dict(asym.ratio_table(n, TABLE_LS, precision_bits))
-        with mp.workprec(precision_bits):
-            for l in TABLE_LS:
-                tol = DEFECT_TOL.get((name, l), REL_TOL)
-                ref = mpf(want[l])
-                rel = abs(mpf(got_rows[l]) - ref) / abs(ref)
-                if rel >= tol:
-                    failures.append(f"{name}:l={l}:rel={mp.nstr(rel, 3)}")
+        for l in TABLE_LS:
+            tol = DEFECT_TOL.get((name, l), REL_TOL)
+            ref = Fraction(want[l])
+            rel = abs(Fraction(got_rows[l]) - ref) / abs(ref)
+            if rel >= tol:
+                failures.append(f"{name}:l={l}:rel={nstr(rel, 3)}")
 
     return failures

@@ -37,9 +37,13 @@ class LogReport:
     first_negative: Optional[int] = None
 
     def __post_init__(self):
-        assert self.classification in CLASSIFICATIONS
-        assert (self.onset is None) == (
-            self.classification in ("mixed", "undetermined"))
+        if self.classification not in CLASSIFICATIONS:
+            raise ValueError(
+                f"unknown classification {self.classification!r}")
+        if (self.onset is None) != (
+                self.classification in ("mixed", "undetermined")):
+            raise ValueError("an onset is given exactly when the "
+                             "classification is neither mixed nor undetermined")
 
     def to_json(self) -> dict:
         return {

@@ -53,6 +53,8 @@ from qmetallic.rna import (
 from qmetallic.logbehaviour import classify
 from qmetallic.cli import _goldens_dir
 
+from mp_values import to_mp
+
 
 def _emit(num: int, ok: bool, note: str) -> bool:
     status = "PASS" if ok else "FAIL"
@@ -159,15 +161,15 @@ def test_criterion_05_radii():
     t0 = time.perf_counter()
     with workprec(300):
         tol = mpf(10) ** -70
-        r1 = radius(1)
-        r2 = radius(2)
-        r3 = radius(3)
+        r1 = to_mp(radius(1))
+        r2 = to_mp(radius(2))
+        r3 = to_mp(radius(3))
         exact1 = (3 - msqrt(5)) / 2
         exact2 = (1 + msqrt(2) - msqrt(2 * msqrt(2) - 1)) / 2
         ok = fabs(r1 - exact1) < tol
         ok = ok and fabs(r2 - exact2) < tol
         ok = ok and nstr(r3, 10) == "0.5971940686"
-        mono = all(r1 - tol <= radius(n) <= 1 + tol for n in range(1, 49))
+        mono = all(r1 - tol <= to_mp(radius(n)) <= 1 + tol for n in range(1, 49))
         ok = ok and mono
     dt = time.perf_counter() - t0
     ok = ok and dt < 60.0
@@ -224,11 +226,11 @@ def test_criterion_06_ratio_tables():
 def test_criterion_07_gamma_constants():
     with workprec(300):
         rep1 = singularity_report(1, 256)
-        g1 = rep1.gammas[0]
+        g1 = to_mp(rep1.gammas[0])
         ok = len(rep1.dominant) == 1
         ok = ok and fabs(g1 - (-power(5, mpf(1) / 4))) < mpf(10) ** -20
         rep3 = singularity_report(3, 256)
-        gp = next(g for g in rep3.gammas if mpc(g).imag > 0)
+        gp = next(to_mp(g) for g in rep3.gammas if g.imag > 0)
         ok = ok and fabs(mpc(gp).real - mpf("0.244816")) < mpf("5e-7")
         ok = ok and fabs(mpc(gp).imag - mpf("1.134722")) < mpf("5e-7")
     assert _emit(

@@ -19,6 +19,8 @@ from qmetallic.errors import BranchMismatch
 from qmetallic.identities import IDENTITY_IDS
 from qmetallic.metallic import kappa_values
 
+from mp_values import to_mp
+
 
 def run(capsys, *argv):
     code = main(list(argv))
@@ -541,10 +543,10 @@ def test_asymptotics_json_inclusion_radius(capsys):
                          "dominant", "gamma", "branch_flipped", "roots"]
     assert 0 < float(doc["inclusion_radius"]) < 2.0 ** -256
     assert len(doc["inclusion_radius"].replace("e", " ").split()[0]) == 6
-    # the gammas printed are the report's calibrated ones
+    # the gammas printed are the report's
     rep = asym.singularity_report(3)
     assert doc["gamma"] == [
-        {"re": mp.nstr(g.real, 30), "im": mp.nstr(g.imag, 30)}
+        {"re": mp.nstr(to_mp(g.real), 30), "im": mp.nstr(to_mp(g.imag), 30)}
         for g in rep.gammas]
 
 

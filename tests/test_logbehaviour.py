@@ -1,5 +1,10 @@
 """Unit tests for the exact log-convexity / log-concavity classifier."""
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
 from qmetallic import logbehaviour
@@ -14,6 +19,8 @@ from qmetallic.logbehaviour import (
 )
 from qmetallic.metallic import kappa_values
 from qmetallic.rna import rna_recurrence
+
+ROOT = Path(__file__).resolve().parent.parent
 
 
 def test_second_differences_hand_values():
@@ -67,12 +74,28 @@ def test_classify_precondition():
 
 
 def test_report_validation():
-    with pytest.raises(AssertionError):
+    with pytest.raises(ValueError, match="unknown classification"):
         LogReport(1, (1, 10), 5, "parabolic", ())
-    with pytest.raises(AssertionError):
+    with pytest.raises(ValueError, match="onset"):
         LogReport(1, (1, 10), 5, "mixed", ())      # mixed must have no onset
-    with pytest.raises(AssertionError):
+    with pytest.raises(ValueError, match="onset"):
         LogReport(1, (1, 10), None, "log-convex", ())
+
+
+def test_report_validation_survives_python_O():
+    # the checks are raises, not asserts, so -O does not strip them
+    probe = ("from qmetallic.logbehaviour import LogReport\n"
+             "try:\n"
+             "    LogReport(1, (1, 2), 1, 'bent', ())\n"
+             "except ValueError as exc:\n"
+             "    print('ValueError:', exc)\n")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (str(ROOT / "src"), env.get("PYTHONPATH")) if p)
+    proc = subprocess.run([sys.executable, "-O", "-c", probe], env=env,
+                          capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.startswith("ValueError: unknown classification 'bent'")
 
 
 def test_report_to_json():

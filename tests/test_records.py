@@ -198,11 +198,11 @@ def test_post_init_checks_still_fire():
         IdentityReport(1, "rel1", 9, False)
     with pytest.raises(ValueError, match="one gamma per dominant root"):
         SingularityReport(1, 64, (1, 2), (1, 2), 1, (2,), False, 0, None)
-    with pytest.raises(AssertionError):
+    with pytest.raises(ValueError, match="unknown classification"):
         LogReport(1, (1, 2), 1, "bent", ())
-    with pytest.raises(AssertionError):
+    with pytest.raises(ValueError, match="onset"):
         LogReport(1, (1, 2), None, "log-convex", ())
-    with pytest.raises(AssertionError):
+    with pytest.raises(ValueError, match="onset"):
         LogReport(1, (1, 2), 3, "mixed", ())
     with pytest.raises(ValueError, match="not a polynomial"):
         QRational(monomial(1, -1), one)

@@ -21,13 +21,16 @@ from mpmath import mp
 
 from qmetallic.asymptotics import singularity_report
 
+from mp_values import to_mp
+
 DIGESTS = Path(__file__).with_name("root_digests.json")
 
 CASES = [(n, 256) for n in range(1, 49)] + [(n, 512) for n in (5, 30, 48)]
 
 
 def _strings(values):
-    return sorted([mp.nstr(z.real, 30), mp.nstr(z.imag, 30)] for z in values)
+    return sorted([mp.nstr(to_mp(z.real), 30), mp.nstr(to_mp(z.imag), 30)]
+                  for z in values)
 
 
 def digest(n, bits):
@@ -36,7 +39,7 @@ def digest(n, bits):
         "roots": _strings(rep.all_roots),
         "dominant": _strings(rep.dominant),
         "gamma": _strings(rep.gammas),
-        "radius": mp.nstr(rep.radius, 30),
+        "radius": mp.nstr(to_mp(rep.radius), 30),
         "branch_flipped": rep.branch_flipped,
     }
     return hashlib.sha256(json.dumps(doc).encode()).hexdigest()
