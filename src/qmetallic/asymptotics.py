@@ -337,7 +337,8 @@ def _gamma_product(pts, k, P):
     over the inclusion disks, so that no root is taken across its cut."""
     one = 1 << P
     xk, yk, rk = pts[k]
-    mk = math.isqrt(xk * xk + yk * yk) + 1 + rk  # >= |z_k|, and its root's
+    # >= |z_k| and the modulus of the root in its disk
+    mk = math.isqrt(xk * xk + yk * yk) + 1 + rk
     half3 = math.isqrt(3 << 2 * P) >> 1  # sqrt(3)/2
     factors = []
     for c, d in ((one >> 1, -half3), (one >> 1, half3)):  # z/w, z/conj(w)
@@ -346,8 +347,8 @@ def _gamma_product(pts, k, P):
     for j, (xj, yj, rj) in enumerate(pts):
         if j != k:
             qr, qi = cdiv(xk, yk, xj, yj, P)
-            # <= |z_j| and its root's modulus; 1 unit if the disk reaches 0,
-            # so that the bound below refuses it
+            # <= |z_j| and the modulus of the root in its disk; 1 unit if
+            # the disk reaches 0, so that the bound below refuses it
             mj = max(math.isqrt(xj * xj + yj * yj) - rj, 1)
             # the root quotient is within (r_k + |z_k| r_j / |z_j|) / |zeta_j|
             err = ((rk + mk * rj // mj + 1) << P) // mj + 3

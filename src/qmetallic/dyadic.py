@@ -22,10 +22,7 @@ import sys
 _LOG2_10 = math.log(10, 2)  # the float `to_str` derives its digit counts from
 
 
-def _sign(d: int) -> int:
-    return (d > 0) - (d < 0)
-
-
+@functools.total_ordering
 class Dyadic:
     """The exact real number man * 2^exp, kept with man odd (or zero)."""
 
@@ -62,7 +59,8 @@ class Dyadic:
         except AttributeError:
             return None
         a, b = self.as_integer_ratio()
-        return _sign(a * den - num * b)
+        d = a * den - num * b
+        return (d > 0) - (d < 0)
 
     def __eq__(self, other):
         c = self._cmp(other)
@@ -71,18 +69,6 @@ class Dyadic:
     def __lt__(self, other):
         c = self._cmp(other)
         return NotImplemented if c is None else c < 0
-
-    def __le__(self, other):
-        c = self._cmp(other)
-        return NotImplemented if c is None else c <= 0
-
-    def __gt__(self, other):
-        c = self._cmp(other)
-        return NotImplemented if c is None else c > 0
-
-    def __ge__(self, other):
-        c = self._cmp(other)
-        return NotImplemented if c is None else c >= 0
 
     def __hash__(self):
         # Python's numeric hash, so a Dyadic hashes like the equal int,
@@ -107,6 +93,9 @@ class Dyadic:
 
     def __repr__(self):
         return f"Dyadic({self.man}, {self.exp})"
+
+    def __str__(self):
+        return nstr(self, 15)
 
 
 class DyadicComplex:

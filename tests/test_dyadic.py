@@ -117,6 +117,7 @@ def test_dyadic_normal_form_and_exact_ratio():
         assert to_mp(Dyadic(3, 2000)) == mpf(3) * 2 ** 2000  # not rounded
     assert d.real is d and d.imag == 0 and d.conjugate() is d
     assert -d == Dyadic(-3, -2) and abs(-d) == d and not Dyadic(0)
+    assert str(d) == "0.75" and str(Dyadic(1, -100)) == "7.88860905221012e-31"
 
 
 def test_dyadic_compares_and_hashes_like_a_number():
