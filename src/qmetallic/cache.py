@@ -53,7 +53,8 @@ def cache_directory(explicit=None) -> str:
 
 def _cache_path(key, cache_dir) -> str:
     n, engine = key
-    assert engine in ENGINE_TAGS
+    if engine not in ENGINE_TAGS:
+        raise ValueError(f"unknown engine tag {engine!r}")
     return os.path.join(cache_directory(cache_dir), f"coeffs-n{n}-{engine}.txt")
 
 
@@ -79,7 +80,8 @@ def atomic_write(path: str, *parts: bytes) -> None:
 def cache_store(key, table: CoeffTable, cache_dir=None) -> str:
     """Persist a coefficient table under (n, engine); returns the path."""
     n, engine = key
-    assert table.n == n
+    if table.n != n:
+        raise ValueError(f"table for n = {table.n} stored under n = {n}")
     body = "\n".join(table.text + ("",)).encode("ascii")
     header = {"format_version": FORMAT_VERSION, "n": n, "engine": engine,
               "sha256": hashlib.sha256(body).hexdigest()}

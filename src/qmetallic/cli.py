@@ -65,8 +65,9 @@ def _window(result, *keys) -> tuple:
     return bool(result), {k: getattr(result, k) for k in keys}
 
 
-def _identities_line(n: int, L: int) -> tuple:
-    bad_ids = [r.identity_id for r in check_all(n, L) if not r.holds]
+def _identities_line(n: int, L: int, agreed: int) -> tuple:
+    bad_ids = [r.identity_id for r in check_all(n, L, agreed)
+               if not r.holds]
     return not bad_ids, {"failed": bad_ids}
 
 
@@ -104,31 +105,44 @@ def _verify_checks(n: int, L: int, cache_dir):
         yield "engine_agreement", False, agreement
         return
 
-    # one square of F, to L + 2n + 2, serves both lines: the functional
-    # equation's reads E through q^(L-1), which reads only kappa_0..kappa_(L-1)
-    identities_line = _guarded("identities", lambda: _identities_line(n, L))
+    def run(tag):
+        try:
+            return table_engine(tag)(n, L), None
+        except QMetallicError as exc:
+            return None, str(exc)
+
+    # conv runs next.  Below the first exponent where its table leaves the
+    # reference, E = q F^2 - R F - 1 is zero past its n + 1 head terms, as
+    # conv chose each kappa so; the identity suite computes E only at the
+    # head and from that exponent to q^(L+2n+2), and the functional
+    # equation's line reads the suite's E through q^(L-1)
+    conv = run("conv")
+    agreed = 0 if conv[0] is None else next(
+        (l for l, (a, b) in enumerate(zip(conv[0].values, reference.values))
+         if a != b), L)
+    identities_line = _guarded("identities",
+                               lambda: _identities_line(n, L, agreed))
     yield _guarded("functional_equation", lambda: _window(_zero_check(
-        _relation_sides(n, L)[1], L, "functional-equation"),
+        _relation_sides(n, L, agreed)[1], L, "functional-equation"),
         "checked_order", "first_failure"))
     yield _guarded("ode", lambda: _window(
         verify_ode(n, L), "checked_order", "first_failure"))
 
-    # every engine runs; the tables that agreed go to the cache, and the
-    # reference with them once an engine has confirmed it
-    agreed = {}
+    # sqrt runs only after conv agreed; the tables that agreed go to the
+    # cache, and the reference with them once an engine has confirmed it
+    confirmed = {}
     for tag in engines:
-        try:
-            table = table_engine(tag)(n, L)
-        except QMetallicError as exc:
-            agreement.update(bad=tag, error=str(exc))
+        table, error = conv if tag == "conv" else run(tag)
+        if error is not None:
+            agreement.update(bad=tag, error=error)
             break
         if table.values != reference.values:
             agreement["bad"] = tag
             break
-        agreed[tag] = table
-    if agreed:
-        agreed["precurrence"] = reference
-    corrupt = cache_refresh(n, agreed, L, cache_dir)
+        confirmed[tag] = table
+    if confirmed:
+        confirmed["precurrence"] = reference
+    corrupt = cache_refresh(n, confirmed, L, cache_dir)
     yield "engine_agreement", agreement["bad"] is None, agreement
 
     yield identities_line

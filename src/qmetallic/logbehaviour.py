@@ -59,7 +59,8 @@ class LogReport:
 
 def second_differences(values, l_min: int, l_max: int) -> dict:
     """D_l = x_{l-1} x_{l+1} - x_l^2 for l_min <= l <= l_max - 1, exact."""
-    assert l_min >= 1 and len(values) > l_max
+    if l_min < 1 or len(values) <= l_max:
+        raise ValueError("need l_min >= 1 and more than l_max values")
     return {l: values[l - 1] * values[l + 1] - values[l] * values[l]
             for l in range(l_min, l_max)}
 

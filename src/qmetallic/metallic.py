@@ -395,9 +395,29 @@ def _zero_check(s: LaurentSeries, upto: int, label: str) -> CheckResult:
     return CheckResult(fail is None, fail, upto, label)
 
 
-def residual(n: int, f: LaurentSeries) -> LaurentSeries:
-    """q f^2 - R f - 1: zero, as far as f is known, when f is F."""
-    return (f * f).shift(1) - poly_R(n) * f - 1
+def residual(n: int, f: LaurentSeries, agreed: int = 0) -> LaurentSeries:
+    """E = q f^2 - R f - 1 modulo q^(f.order) for a power series f: zero,
+    as far as f is known, when f is F.  Built one coefficient at a time,
+
+        E_l = [q^(l-1)] f^2 - [q^l] R f - [l = 0],
+
+    which reads only f_0..f_l.  `agreed` is a bound below which f is the
+    conv engine's table: _conv_values chooses each kappa_l, l >= n + 1, so
+    that E_l = 0, so E_l for n + 1 <= l < agreed is zero and not computed.
+    With no such bound (0), every coefficient is computed."""
+    n = _check_n(n)
+    if f.valuation < 0 or f.order == math.inf:
+        raise ValueError("residual needs a truncated power series")
+    N = int(f.order)
+    x = f.coefficients(0, N)
+    rc = poly_coeffs(poly_R(n))
+    e = [0] * N
+    for l in (*range(min(n + 1, N)), *range(max(n + 1, agreed), N)):
+        acc = _square_sum(x, l - 1) - (l == 0)
+        for j in range(min(l, len(rc) - 1) + 1):
+            acc -= rc[j] * x[l - j]
+        e[l] = acc
+    return LaurentSeries(0, e, N)
 
 
 def verify_functional_equation(n: int, L: int) -> CheckResult:

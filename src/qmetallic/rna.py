@@ -22,7 +22,7 @@ from itertools import combinations
 
 from .errors import BudgetExceeded, NonIntegralResult
 from .metallic import CheckResult, closed_form_golden, kappa_values, phi_series
-from .series import LaurentSeries
+from .series import LaurentSeries, _square_sum
 
 ENUMERATION_BUDGET = 22
 _BRUTE_BUDGET = 10
@@ -49,11 +49,14 @@ def _count_table(length: int, rank: int) -> tuple:
     """Counts for 0..length positions (immutable, so shared)."""
     f = [1] * (length + 1)
     for m in range(1, length + 1):
-        total = f[m - 1]  # last position unpaired
-        # last position paired with a, m - a > rank; splits inside/outside
-        for a in range(1, m - rank):
-            total += f[a - 1] * f[m - a - 1]
-        f[m] = total
+        # last position unpaired, or paired with a, m - a > rank, which
+        # splits inside/outside: sum_(a < m - rank) f_(a-1) f_(m-a-1), that
+        # is sum_(i <= k - rank) f_i f_(k-i), k = m - 2, the symmetric half
+        # rank <= i <= k - rank at half the products plus the rank outer
+        # terms i < rank
+        k = m - 2
+        f[m] = f[m - 1] + _square_sum(f, k, rank) + sum(
+            f[i] * f[k - i] for i in range(min(rank, k - rank + 1)))
     return tuple(f)
 
 
@@ -105,7 +108,9 @@ def generate_structures(length: int, rank: int = 1) -> list:
 
 def _brute_structures(length: int, rank: int) -> list:
     """Independent oracle: filter every subset of candidate arcs."""
-    assert length <= _BRUTE_BUDGET, "oracle budget"
+    if length > _BRUTE_BUDGET:
+        raise BudgetExceeded(
+            f"brute-force oracle capped at {_BRUTE_BUDGET} positions")
     arcs = [
         (a, b)
         for a in range(1, length + 1)

@@ -267,9 +267,9 @@ def test_verify_runs_the_recurrence_once(capsys, monkeypatch, tmp_path):
     squared = []
     residual = metallic.residual
 
-    def residual_spy(n, f):
+    def residual_spy(n, f, agreed=0):
         squared.append(f.order)
-        return residual(n, f)
+        return residual(n, f, agreed)
 
     monkeypatch.setattr(metallic, "_tables", {})
     monkeypatch.setattr(metallic, "_p_extend", spy)
@@ -282,9 +282,39 @@ def test_verify_runs_the_recurrence_once(capsys, monkeypatch, tmp_path):
     # (to L + 2n + 2) only extends it, and its explicit sides read the
     # prefix, so no value is made twice
     assert runs == [(8, 300), (300, 308)]
-    # and F is squared once: the functional equation's line reads the
-    # identity suite's residual
+    # and one residual is built: the functional equation's line reads the
+    # identity suite's
     assert squared == [308]
+
+
+def test_verify_computes_only_the_residual_conv_leaves_open(
+        capsys, monkeypatch, tmp_path):
+    # conv's table agrees with the reference to L, so E is computed at its
+    # n + 1 head terms and its 2n + 2 terms from q^L on, not at all L + 2n + 2
+    n, L = 3, 300
+    squares, inside = [], []
+    square_sum, residual = metallic._square_sum, metallic.residual
+
+    def count(x, k, lo=0):
+        if inside:
+            squares.append(k)
+        return square_sum(x, k, lo)
+
+    def residual_spy(*args):
+        inside.append(True)
+        try:
+            return residual(*args)
+        finally:
+            inside.pop()
+
+    for mod in (series, metallic):
+        monkeypatch.setattr(mod, "_square_sum", count)
+    for mod in (metallic, identities):
+        monkeypatch.setattr(mod, "residual", residual_spy)
+    code, _, _ = run(capsys, "verify", "--n", str(n), "--L", str(L),
+                     "--cache-dir", str(tmp_path))
+    assert code == 0
+    assert len(squares) == 3 * n + 3
 
 
 def test_verify_golden(capsys):

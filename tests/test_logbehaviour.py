@@ -30,9 +30,9 @@ def test_second_differences_hand_values():
 
 
 def test_second_differences_preconditions():
-    with pytest.raises(AssertionError):
+    with pytest.raises(ValueError):
         second_differences([1, 2, 3], 0, 2)
-    with pytest.raises(AssertionError):
+    with pytest.raises(ValueError):
         second_differences([1, 2, 3], 1, 5)
 
 

@@ -252,6 +252,29 @@ def test_functional_equation_finds_a_bumped_coefficient(n, monkeypatch):
     assert not res and res.first_failure == 40 and res.checked_order == 120
 
 
+@pytest.mark.parametrize("n", (1, 2, 3, 5, 8, 12))
+def test_residual_below_the_conv_bound_is_the_full_residual(n):
+    # E_l reads kappa_0..kappa_l, and conv chose its kappa_l (l >= n + 1)
+    # so that E_l = 0: below the first exponent where a table leaves conv's,
+    # the terms the bound skips are the zeros the full residual computes
+    L = 120
+    N = L + 2 * n + 2
+    clean = metallic.kappa_values(n, N)
+    conv = metallic._conv_values(n, L)
+    R = metallic.poly_R(n)
+    for j in (None, n + 1, L // 2, L - 1, L, L + 2 * n + 1):
+        for bump in (1, -2):
+            vals = list(clean)
+            if j is not None:
+                vals[j] += bump
+            f = LaurentSeries(0, vals, N)
+            agreed = next((l for l in range(L) if vals[l] != conv[l]), L)
+            full = metallic.residual(n, f)
+            assert full == (f * f).shift(1) - R * f - 1, (j, bump)
+            assert metallic.residual(n, f, agreed) == full, (j, bump)
+            assert full.is_zero == (j is None), (j, bump)
+
+
 def test_ode_small():
     for n in (1, 2, 5):
         res = verify_ode(n, 120)

@@ -17,6 +17,7 @@ from qmetallic.rna import (
     rna_recurrence,
     sign_bridge_check,
     _brute_structures,
+    _count_table,
 )
 
 # generalized Catalan numbers (rank-1 structure counts)
@@ -111,11 +112,31 @@ def test_count_trivial_for_large_rank():
             assert count_structures(l, r) == 1
 
 
+def _plain_count_table(length, rank):
+    """The counting DP summed term by term over the arc's left end."""
+    f = [1] * (length + 1)
+    for m in range(1, length + 1):
+        f[m] = f[m - 1] + sum(f[a - 1] * f[m - a - 1]
+                              for a in range(1, m - rank))
+    return tuple(f)
+
+
+@pytest.mark.parametrize("rank", range(4))
+def test_count_table_is_the_plain_dp(rank):
+    # the table takes the sum over arcs as half a square plus rank terms
+    assert _count_table.__wrapped__(600, rank) == _plain_count_table(600, rank)
+    for length in range(8):
+        assert (_count_table.__wrapped__(length, rank)
+                == _plain_count_table(length, rank))
+
+
 def test_budget_enforced():
     with pytest.raises(BudgetExceeded):
         enumerate_structures(ENUMERATION_BUDGET + 1, 1)
     with pytest.raises(BudgetExceeded):
         generate_structures(ENUMERATION_BUDGET + 1, 1)
+    with pytest.raises(BudgetExceeded):
+        _brute_structures(11, 1)
     # counting alone is unbudgeted
     assert count_structures(40, 1) > 0
 
