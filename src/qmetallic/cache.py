@@ -8,9 +8,11 @@ covers exactly the bytes after the header line, so
 invalidates every cache.  Writes are create-then-rename so concurrent
 writers never interleave partial files.  Loads re-verify the version, the
 key, the hash, that every line is canonical decimal text, and the
-structural prefix invariant before trusting disk data.  A loaded table
-keeps that text, so printing it converts nothing; its ints are parsed only
-if asked.
+structural prefix invariant before trusting disk data.  Those bytes after
+the header are a CoeffTable's body: a load reads them in one sized read
+and checks them as one buffer, without decoding them or splitting lines,
+and a store writes a table's body as it is.  So printing a loaded table
+converts nothing; its ints are parsed only if asked.
 
 `cached_table` serves `coeffs`; `cache_refresh` is the whole cache rule of
 `verify`: one read of each engine's entry, a store of each table that
@@ -31,14 +33,20 @@ import tempfile
 import time
 
 from .errors import CacheCorrupt
-from .metallic import (ENGINE_TAGS, CoeffTable, _check_n,
+from .metallic import (ENGINE_TAGS, CoeffTable, _check_n, _decimal_body,
                        canonical_engine_tag, kappa_text, table_engine)
 
 FORMAT_VERSION = 3
 ENV_CACHE_DIR = "QMETALLIC_CACHE_DIR"
 ARTIFACT_VERSION = "0.1.0"
-# lines of exactly the strings str(int) gives: no sign on 0, no leading zeros
+# lines of exactly the strings str(int) gives: no sign on 0, no leading
+# zeros.  This defines the format; _canonical_line_count decides the same
+# on a large body at a fraction of its cost.
 _CANONICAL_LINES = re.compile(rb"(?:(?:0|-?[1-9][0-9]*)\n)*")
+_CANONICAL_LINE = re.compile(rb"(?:0|-?[1-9][0-9]*)\n")
+# after a newline: an empty line, a leading zero, or a sign before \n, 0, -
+_BAD_LINE_START = re.compile(rb"\n(?:\n|0[^\n]|-[\n0-])")
+_DIGITS_AND_SIGN = b"0123456789-"
 
 
 def cache_directory(explicit=None) -> str:
@@ -77,12 +85,35 @@ def atomic_write(path: str, *parts: bytes) -> None:
         raise
 
 
+def _canonical_line_count(body: bytes):
+    """The number of lines of body when _CANONICAL_LINES matches it whole,
+    else None.  Each step scans the buffer in C: the bytes are digits, signs
+    and newlines, and the body ends in a newline; the first line is
+    canonical; no later line is empty, has a leading zero or a sign before
+    \n, 0 or another sign; and every sign starts its line."""
+    if not body:
+        return 0
+    newlines = body.translate(None, _DIGITS_AND_SIGN)
+    if newlines.strip(b"\n") or not body.endswith(b"\n"):
+        return None
+    if not _CANONICAL_LINE.fullmatch(body, 0, body.index(b"\n") + 1):
+        return None
+    if _BAD_LINE_START.search(body):
+        return None
+    sign = body.find(b"-", 1)
+    while sign != -1:
+        if body[sign - 1] != 10:  # b"\n"
+            return None
+        sign = body.find(b"-", sign + 1)
+    return len(newlines)
+
+
 def cache_store(key, table: CoeffTable, cache_dir=None) -> str:
     """Persist a coefficient table under (n, engine); returns the path."""
     n, engine = key
     if table.n != n:
         raise ValueError(f"table for n = {table.n} stored under n = {n}")
-    body = "\n".join(table.text + ("",)).encode("ascii")
+    body = table.body
     header = {"format_version": FORMAT_VERSION, "n": n, "engine": engine,
               "sha256": hashlib.sha256(body).hexdigest()}
     path = _cache_path(key, cache_dir)
@@ -95,22 +126,23 @@ def cache_load(key, cache_dir=None) -> CoeffTable:
     n, engine = key
     path = _cache_path(key, cache_dir)
     with open(path, "rb") as fh:
-        try:
-            head, _, body = fh.read().partition(b"\n")
-            header = json.loads(head)
-        except ValueError as exc:
-            raise CacheCorrupt(f"{path}: header is not JSON ({exc})") from exc
+        head = fh.readline()
+        body = fh.read(os.fstat(fh.fileno()).st_size - len(head))
+    try:
+        header = json.loads(head)
+    except ValueError as exc:
+        raise CacheCorrupt(f"{path}: header is not JSON ({exc})") from exc
     if type(header) is not dict or header.get("format_version") != FORMAT_VERSION:
         raise CacheCorrupt(f"{path}: not a format {FORMAT_VERSION} cache entry")
     if header.get("n") != n or header.get("engine") != engine:
         raise CacheCorrupt(f"{path}: key mismatch")
     if header.get("sha256") != hashlib.sha256(body).hexdigest():
         raise CacheCorrupt(f"{path}: sha256 mismatch")
-    if not _CANONICAL_LINES.fullmatch(body):
+    upto = _canonical_line_count(body)
+    if upto is None:
         raise CacheCorrupt(f"{path}: a line is not canonical decimal integer text")
-    lines = body.decode("ascii").split("\n")[:-1]
     try:
-        return CoeffTable(n, len(lines), None, engine, text=lines)
+        return CoeffTable(n, upto, None, engine, body=body)
     except ValueError as exc:
         raise CacheCorrupt(f"{path}: structural invariant violated ({exc})") from exc
 
@@ -130,8 +162,9 @@ def cached_table(n: int, L: int, engine: str = "precurrence",
                  cache_dir=None) -> CoeffTable:
     """Cache-backed table: load it, or, when the entry is absent, short or
     bad, compute it with its own engine and store it.  The recurrence
-    engine's table is computed as decimal text (kappa_text): coeffs prints
-    it and the cache stores it as text, and str of a large int is slow."""
+    engine's table is computed as decimal text (kappa_text), joined once
+    into the body that the cache stores and coeffs prints: str of a large
+    int is slow."""
     n = _check_n(n)
     tag = canonical_engine_tag(engine)
     key = (n, tag)
@@ -139,7 +172,7 @@ def cached_table(n: int, L: int, engine: str = "precurrence",
     if isinstance(table, CoeffTable) and table.upto >= L:
         return table.truncate(L)
     if tag == "precurrence":
-        out = CoeffTable(n, L, None, tag, text=kappa_text(n, L))
+        out = CoeffTable(n, L, None, tag, body=_decimal_body(kappa_text(n, L)))
     else:
         out = table_engine(tag)(n, L)
     cache_store(key, out, cache_dir)

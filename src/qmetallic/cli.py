@@ -10,6 +10,7 @@ Exit codes: 0 success / all checks pass; 1 a verification check failed;
 """
 
 import argparse
+import codecs
 import json
 import os
 import sys
@@ -38,25 +39,47 @@ def _fail(message: str, code: int = 2) -> int:
     return code
 
 
+_ITEM_SEP = b'",\n  "'
+
+
+def _write_ascii(out, *parts) -> None:
+    """Write ASCII byte strings to the text stream out: into its byte
+    buffer when that gives the bytes the text would (an ASCII-compatible
+    encoding, \\n as the line separator), which copies nothing, else as
+    text."""
+    buffer = getattr(out, "buffer", None)
+    encoding = getattr(out, "encoding", None)
+    if (buffer is not None and encoding and os.linesep == "\n"
+            and codecs.lookup(encoding).name in ("utf-8", "ascii")):
+        out.flush()
+        for part in parts:
+            buffer.write(part)
+    else:
+        for part in parts:
+            out.write(str(part, "ascii"))
+
+
 def cmd_coeffs(args) -> int:
     tag = canonical_engine_tag(args.engine)
     if tag == "closedform" and args.n > 3:
         return _fail("coeffs: engine 'closed' requires n <= 3 "
                      "(closed-form sums exist for the first three indices only)")
-    text = cached_table(args.n, args.L, tag, args.cache_dir).text
+    table = cached_table(args.n, args.L, tag, args.cache_dir)
     out = sys.stdout
     if args.format == "json":
         # the series exchange form (every table starts at q^0 with
         # kappa_0 = 1) as json.dumps(..., indent=1) prints it, written in
-        # pieces: canonical decimal text needs no escaping, only quotes
-        opening, closing = ('[\n  "', '"\n ]') if text else ("[", "]")
-        out.write(f'{{\n "valuation": 0,\n "order": {len(text)},\n'
-                  f' "coeffs": {opening}')
-        out.write('",\n  "'.join(text))
-        out.write(closing + "\n}\n")
+        # pieces: canonical decimal text needs no escaping, only quotes, so
+        # one replace of the body's newlines gives the list
+        items = table.body.replace(b"\n", _ITEM_SEP)
+        opening, closing = (b'[\n  "', b'"\n ]') if items else (b"[", b"]")
+        _write_ascii(out, b'{\n "valuation": 0,\n "order": %d,\n "coeffs": %s'
+                     % (table.upto, opening),
+                     memoryview(items)[:len(items) - len(_ITEM_SEP)],
+                     closing + b"\n}\n")
     else:
         out.write("l,kappa\n")
-        out.writelines(f"{l},{c}\n" for l, c in enumerate(text))
+        out.writelines(f"{l},{c}\n" for l, c in enumerate(table.text))
     return 0
 
 

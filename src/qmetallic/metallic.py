@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import decimal
 import math
+import sys
 import threading
 from fractions import Fraction
 
@@ -70,55 +71,108 @@ def poly_P(n: int) -> LaurentSeries:
 # -- coefficient tables ---------------------------------------------------------
 
 
+def _digit_limit() -> int:
+    """Python's int/str digit limit; 0 when there is none."""
+    return getattr(sys, "get_int_max_str_digits", lambda: 0)()
+
+
+def _decimal_texts(values) -> list:
+    """str of each int, past the int/str digit limit too: a longer value
+    goes through Decimal, which converts any int exactly and has no limit."""
+    limit = _digit_limit()
+    if not limit:
+        return list(map(str, values))
+    bound = 10 ** limit
+    return [str(v) if -bound < v < bound else str(decimal.Decimal(v))
+            for v in values]
+
+
+def _ints(texts) -> tuple:
+    """int of each canonical decimal text, past the digit limit too."""
+    limit = _digit_limit()
+    return tuple(int(t) if not limit or len(t) <= limit
+                 else int(decimal.Decimal(t)) for t in texts)
+
+
+def _decimal_body(texts) -> bytes:
+    """The body form of a table: each canonical decimal text followed by a
+    newline, as ASCII bytes."""
+    return "\n".join([*texts, ""]).encode("ascii")
+
+
+def _line_end(body: bytes, k: int) -> int:
+    """The offset just past the k-th newline of body."""
+    end = 0
+    try:
+        for _ in range(k):
+            end = body.index(b"\n", end) + 1
+    except ValueError:
+        raise BadTable("length does not match upto") from None
+    return end
+
+
 class CoeffTable:
     """First `upto` series coefficients (exponents 0..upto-1) for index n.
 
-    The coefficients are held as ints (`values`), as decimal text (`text`,
-    canonical: what str gives), or both.  An engine builds a table from
-    ints and the cache from text; the missing form is made once, on first
-    use, so a table that is both cached and printed is converted once and a
-    cached table is printed as read.
+    The coefficients are held as ints (`values`), as the decimal body
+    (`body`: each coefficient's canonical text, what str gives, followed by
+    a newline, in ASCII bytes; a cache entry's bytes after its header
+    line), or both.  An engine builds a table from ints, and the cache and
+    the recurrence's decimal text from a body, which the caller checks:
+    canonical text, `upto` lines.  The ints are parsed from the body on
+    first use, and the body is made from the ints on first use, so a table
+    that is both cached and printed is converted once and a cached table
+    is printed as read.  `text`, the tuple of the lines, is derived from
+    the body on each call.
     """
 
-    __slots__ = ("n", "upto", "engine", "_values", "_text")
+    __slots__ = ("n", "upto", "engine", "_values", "_body")
 
-    def __init__(self, n: int, upto: int, values, engine: str, text=None):
+    def __init__(self, n: int, upto: int, values, engine: str, body=None):
         if engine not in ENGINE_TAGS:
             raise ValueError(f"unknown engine tag {engine!r}")
-        held = text if values is None else values
-        if len(held) != upto:
-            raise BadTable("length does not match upto")
-        head = [int(c) for c in held[: 2 * n + 1]]
-        if head[: n + 1] != [1] * min(n, upto) + ([0] if upto > n else []):
+        k = min(upto, 2 * n + 1)
+        if values is not None:
+            if len(values) != upto:
+                raise BadTable("length does not match upto")
+            head, one, zero = list(values[:k]), 1, 0
+        elif body is not None:
+            lines = body[:_line_end(body, k)].split(b"\n")[:-1]
+            head, one, zero = lines, b"1", b"0"
+        else:
+            raise ValueError("a table needs its values or its body")
+        if head[: n + 1] != [one] * min(n, upto) + ([zero] if upto > n else []):
             raise BadTable("series must start with n ones then a zero")
-        if upto > 2 * n and head[2 * n] != 1:
+        if upto > 2 * n and head[2 * n] != one:
             raise BadTable("coefficient at exponent 2n must be 1")
         self.n, self.upto, self.engine = n, upto, engine
         self._values = None if values is None else tuple(values)
-        self._text = None if text is None else tuple(text)
+        self._body = body
 
     @property
     def values(self) -> tuple:
         if self._values is None:
-            self._values = tuple(map(int, self._text))
+            self._values = _ints(self._body.decode("ascii").split("\n")[:-1])
         return self._values
 
     @property
+    def body(self) -> bytes:
+        if self._body is None:
+            self._body = _decimal_body(_decimal_texts(self._values))
+        return self._body
+
+    @property
     def text(self) -> tuple:
-        if self._text is None:
-            self._text = tuple(map(str, self._values))
-        return self._text
+        return tuple(self.body.decode("ascii").split("\n")[:-1])
 
     def truncate(self, upto: int) -> "CoeffTable":
         """The first `upto` coefficients, in the forms this table holds."""
         if upto == self.upto:
             return self
-
-        def cut(held):
-            return None if held is None else held[:upto]
-
-        return CoeffTable(self.n, upto, cut(self._values), self.engine,
-                          cut(self._text))
+        values, body = self._values, self._body
+        return CoeffTable(
+            self.n, upto, None if values is None else values[:upto],
+            self.engine, None if body is None else body[:_line_end(body, upto)])
 
     def to_series(self) -> LaurentSeries:
         return LaurentSeries(0, list(self.values), self.upto)

@@ -3,6 +3,7 @@
 import hashlib
 import json
 import os
+import random
 import sys
 
 import pytest
@@ -240,13 +241,15 @@ def test_run_manifest(tmp_path):
 # -- decimal text: canonical on disk, printed as read --------------------------------
 
 
-def _rewrite_values(path, values):
-    """Replace the cached lines and re-sign the body, as a careful tamperer
-    would."""
+def _rewrite_body(path, body):
+    """Replace the cached body and re-sign it, as a careful tamperer would."""
     header, _ = _read_entry(path)
-    body = "".join(v + "\n" for v in values).encode()
     header["sha256"] = hashlib.sha256(body).hexdigest()
     _write_entry(path, header, body)
+
+
+def _rewrite_values(path, values):
+    _rewrite_body(path, "".join(v + "\n" for v in values).encode())
 
 
 def _coeffs(capsys, *argv):
@@ -350,8 +353,127 @@ def test_loaded_table_holds_text_until_ints_are_asked_for(tmp_path):
     cache_store((3, "precurrence"), coeffs_p_recurrence(3, 40), d)
     t = cache_load((3, "precurrence"), d)
     assert t._values is None
+    assert t._body == _read_entry(_entry_path(d, 3))[1]
     assert t.text == tuple(str(v) for v in kappa_values(3, 40))
     assert t.values == tuple(kappa_values(3, 40))
+
+
+@pytest.mark.parametrize("how", [
+    "a sign inside a line", "two signs", "a lone sign",
+    "first line", "signed first line", "first line with a sign inside",
+    "last line", "last line with a sign inside", "no trailing newline",
+    "only a newline", "an empty last line", "a leading zero on the last line",
+])
+def test_non_canonical_body_is_corrupt_and_heals(tmp_path, capsys, how):
+    # faults that the line-by-line structure of the check could let
+    # through, signed as a careful tamperer would; int() refuses most
+    d = str(tmp_path)
+    args = ("--n", "1", "--L", "20", "--cache-dir", d)
+    cold = _coeffs(capsys, *args)
+    good = open(_entry_path(d), "rb").read()
+    _, body = _read_entry(_entry_path(d))
+    lines = body.split(b"\n")[:-1]
+    last = lines[-1]  # kappa_19 of phi_1, positive
+    bad = {
+        "a sign inside a line": lines[:8] + [b"1-2"] + lines[9:],
+        "two signs": lines[:8] + [b"--" + lines[8].lstrip(b"-")] + lines[9:],
+        "a lone sign": lines[:8] + [b"-"] + lines[9:],
+        "first line": [b"01"] + lines[1:],
+        "signed first line": [b"-0"] + lines[1:],
+        "first line with a sign inside": [b"1-"] + lines[1:],
+        "last line": lines[:-1] + [b"0" + last],
+        "last line with a sign inside": lines[:-1] + [last[:1] + b"-" + last[1:]],
+        "an empty last line": lines + [b""],
+        "a leading zero on the last line": lines[:-1] + [b"00"],
+    }.get(how)
+    if how == "no trailing newline":
+        new = body[:-1]
+    elif how == "only a newline":
+        new = b"\n"
+    else:
+        new = b"".join(line + b"\n" for line in bad)
+    assert cache._CANONICAL_LINES.fullmatch(new) is None
+    _rewrite_body(_entry_path(d), new)
+    with pytest.raises(CacheCorrupt, match="canonical"):
+        cache_load((1, "precurrence"), d)
+    assert _coeffs(capsys, *args) == cold
+    assert open(_entry_path(d), "rb").read() == good
+
+
+def test_canonical_check_agrees_with_the_format_regex():
+    # the regex defines the format; the check must decide every body alike.
+    # Short bodies over digits, signs, newlines and two foreign bytes,
+    # half of them random and half canonical lines with one edit
+    rng = random.Random(2028)
+    alphabet = b"0123456789-\n\n\n\n--00 \xff"
+    spread = bytes.maketrans(bytes(range(256)),
+                             bytes(alphabet[b % len(alphabet)]
+                                   for b in range(256)))
+    lines = [b"0", b"1", b"-1", b"10", b"-20", b"7", b"305"]
+    verdicts = {True: 0, False: 0}
+    for case in range(100_000):
+        if case % 2:
+            body = rng.randbytes(rng.randrange(12)).translate(spread)
+        else:
+            body = b"".join(rng.choice(lines) + b"\n"
+                            for _ in range(rng.randrange(5)))
+            at = rng.randrange(len(body) + 1)
+            edit = bytes([rng.choice(alphabet)])
+            body = rng.choice((body[:at] + edit + body[at:],
+                               body[:at] + edit + body[at + 1:],
+                               body[:at] + body[at + 1:], body))
+        canonical = cache._CANONICAL_LINES.fullmatch(body) is not None
+        assert cache._canonical_line_count(body) == (
+            body.count(b"\n") if canonical else None), body
+        verdicts[canonical] += 1
+    assert min(verdicts.values()) > 20_000
+
+
+def test_tables_past_the_int_str_digit_limit_round_trip(tmp_path):
+    # loaded text and stored ints convert through Decimal, which has no
+    # int/str digit limit; the limit is lowered so that a short table
+    # passes it
+    d = str(tmp_path)
+    ints = tuple(kappa_values(1, 1600))
+    text = tuple(map(str, ints))
+    saved = sys.get_int_max_str_digits()
+    try:
+        sys.set_int_max_str_digits(640)
+        assert len(text[-1]) > 640
+        with pytest.raises(ValueError):
+            int(text[-1])
+        cache_store((1, "precurrence"), coeffs_p_recurrence(1, 1600), d)
+        t = cache_load((1, "precurrence"), d)
+        assert t.values == ints and t.text == text
+        assert t[1599] == ints[-1]
+        assert t.to_series().coefficients(0, 1600) == list(ints)
+        assert coeffs_p_recurrence(1, 1600).text == text
+        warm = cached_table(1, 1600, "precurrence", d)
+        assert warm.values == ints and warm.truncate(1000).text == text[:1000]
+    finally:
+        sys.set_int_max_str_digits(saved)
+
+
+def test_body_is_the_entry_and_derives_every_form(tmp_path):
+    d = str(tmp_path)
+    ints = tuple(kappa_values(2, 50))
+    from_ints = coeffs_p_recurrence(2, 50)
+    want = "".join(f"{v}\n" for v in ints).encode()
+    assert from_ints.body == want
+    cache_store((2, "precurrence"), from_ints, d)
+    assert _read_entry(_entry_path(d, 2))[1] == want
+    loaded = cache_load((2, "precurrence"), d)
+    for upto in (0, 1, 2, 5, 6, 49):
+        cut = loaded.truncate(upto)
+        assert cut._values is None
+        assert cut.body == b"".join(line + b"\n"
+                                    for line in want.split(b"\n")[:upto])
+        assert cut.values == ints[:upto] and cut.upto == upto
+    with pytest.raises(metallic.BadTable):
+        loaded.truncate(51)
+    with pytest.raises(metallic.BadTable):
+        metallic.CoeffTable(2, 6, None, "precurrence",
+                            body=b"1\n1\n0\n1\n2\n")
 
 
 @pytest.mark.parametrize("n", [1, 3])

@@ -2,6 +2,7 @@
 
 import concurrent.futures
 import functools
+import io
 import json
 import os
 import shutil
@@ -82,6 +83,28 @@ def test_precision_floor(capsys):
 
 def _digit_limit():
     return getattr(sys, "get_int_max_str_digits", lambda: None)()
+
+
+@pytest.mark.parametrize("L", [0, 40])
+def test_coeffs_prints_the_same_text_to_any_text_stream(monkeypatch, tmp_path,
+                                                        L):
+    # the JSON goes into the stream's byte buffer when its encoding takes
+    # ASCII as is, and is written as text otherwise
+    want = json.dumps({"valuation": 0, "order": L,
+                       "coeffs": [str(v) for v in kappa_values(2, L)]},
+                      indent=1) + "\n"
+    streams = {"text only": io.StringIO(),
+               "utf-8": io.TextIOWrapper(io.BytesIO(), "utf-8"),
+               "utf-16": io.TextIOWrapper(io.BytesIO(), "utf-16")}
+    for name, stream in streams.items():  # cold, then warm twice
+        monkeypatch.setattr(sys, "stdout", stream)
+        assert main(["coeffs", "--n", "2", "--L", str(L),
+                     "--cache-dir", str(tmp_path)]) == 0
+        stream.write("end\n")
+        stream.flush()
+        printed = (stream.getvalue() if name == "text only"
+                   else stream.buffer.getvalue().decode(name))
+        assert printed == want + "end\n", name
 
 
 def test_coeffs_past_the_int_str_digit_limit(capsys, tmp_path):
