@@ -43,7 +43,6 @@ ARTIFACT_VERSION = "0.1.0"
 # zeros.  This defines the format; _canonical_line_count decides the same
 # on a large body at a fraction of its cost.
 _CANONICAL_LINES = re.compile(rb"(?:(?:0|-?[1-9][0-9]*)\n)*")
-_CANONICAL_LINE = re.compile(rb"(?:0|-?[1-9][0-9]*)\n")
 # after a newline: an empty line, a leading zero, or a sign before \n, 0, -
 _BAD_LINE_START = re.compile(rb"\n(?:\n|0[^\n]|-[\n0-])")
 _DIGITS_AND_SIGN = b"0123456789-"
@@ -89,14 +88,15 @@ def _canonical_line_count(body: bytes):
     """The number of lines of body when _CANONICAL_LINES matches it whole,
     else None.  Each step scans the buffer in C: the bytes are digits, signs
     and newlines, and the body ends in a newline; the first line is
-    canonical; no later line is empty, has a leading zero or a sign before
-    \n, 0 or another sign; and every sign starts its line."""
+    canonical; no later line is empty, has a leading zero, or has a sign
+    followed by a newline, a zero or a sign; and every sign starts its
+    line."""
     if not body:
         return 0
     newlines = body.translate(None, _DIGITS_AND_SIGN)
     if newlines.strip(b"\n") or not body.endswith(b"\n"):
         return None
-    if not _CANONICAL_LINE.fullmatch(body, 0, body.index(b"\n") + 1):
+    if not _CANONICAL_LINES.fullmatch(body, 0, body.index(b"\n") + 1):
         return None
     if _BAD_LINE_START.search(body):
         return None

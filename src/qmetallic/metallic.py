@@ -136,11 +136,9 @@ class CoeffTable:
             if len(values) != upto:
                 raise BadTable("length does not match upto")
             head, one, zero = list(values[:k]), 1, 0
-        elif body is not None:
+        else:
             lines = body[:_line_end(body, k)].split(b"\n")[:-1]
             head, one, zero = lines, b"1", b"0"
-        else:
-            raise ValueError("a table needs its values or its body")
         if head[: n + 1] != [one] * min(n, upto) + ([zero] if upto > n else []):
             raise BadTable("series must start with n ones then a zero")
         if upto > 2 * n and head[2 * n] != one:
