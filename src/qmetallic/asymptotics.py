@@ -1,15 +1,17 @@
 """Numeric singularity analysis for the deformed metallic series.
 
 The growth of the series coefficients is governed by the roots of the
-palindromic polynomial Q_n (the reduced discriminant factor).  This module
-finds all 2n roots by Aberth-Ehrlich simultaneous iteration in machine
-precision, polishes one root of each conjugate pair by Newton's method in
-big-int fixed point (its partner is the mirror image), and certifies them
-by a residual bound and by pairwise disjoint Newton inclusion disks (each
-then holds exactly one root).  It lists the roots by modulus, then by
-argument, extracts the dominant ones (minimal modulus, the radius of
-convergence), and assembles the square-root singularity constants and the
-leading asymptotic term
+palindromic polynomial Q_n (the reduced discriminant factor), whose roots
+pair off as z, 1/z.  This module finds the n roots w = z + 1/z of its trace
+polynomial by Aberth-Ehrlich simultaneous iteration in machine precision,
+polishes the inner z of one w in each conjugate pair by Newton's method in
+big-int fixed point (its conjugate is the mirror image), takes each 1/z in
+fixed point with an evaluation of its own (on the unit circle 1/z is the
+conjugate, mirrored once), and certifies all 2n by a residual bound and by
+pairwise disjoint Newton inclusion disks (each then holds exactly one
+root).  It lists the roots by modulus, then by argument, extracts the
+dominant ones (minimal modulus, the radius of convergence), and assembles
+the square-root singularity constants and the leading asymptotic term
 
     alpha_l = sum_j (-gamma_j / (2 sqrt(pi))) zeta_j^(-l) l^(-3/2).
 
@@ -23,6 +25,7 @@ the values are exact `Dyadic` / `DyadicComplex` numbers.
 from __future__ import annotations
 
 import cmath
+import functools
 import itertools
 import math
 import threading
@@ -81,15 +84,34 @@ def _horner2(coeffs, z):
     return p, dp
 
 
-def _aberth_sweeps(coeffs, zs, tol, max_sweeps):
-    """Simultaneous-iteration sweeps in machine complex arithmetic; returns
+def _trace2(half, w):
+    """S(w) and S'(w) for the trace polynomial of a palindromic p of degree
+    2d, p(q) = q^d S(q + 1/q), from `half` = a_d, ..., a_2d: S = a_d + sum
+    a_(d+k) T_k with T_k = q^k + q^-k, summed by Clenshaw's recurrence on
+    T_(k+1) = w T_k - T_(k-1).  S in powers of w loses its roots to
+    cancellation."""
+    b1 = b2 = db1 = db2 = 0 * w
+    for c in reversed(half[1:]):
+        b1, b2, db1, db2 = c + w * b1 - b2, b1, b1 + w * db1 - db2, db1
+    return half[0] + w * b1 - 2 * b2, b1 + w * db1 - 2 * db2
+
+
+def _inner(w):
+    """The root of q^2 - w q + 1 of modulus <= 1, as 1/(the other)."""
+    r = cmath.sqrt(w * w - 4)
+    return 2 / max(w + r, w - r, key=abs)
+
+
+def _aberth_sweeps(evaluate, zs, tol, max_sweeps):
+    """Simultaneous-iteration sweeps in machine complex arithmetic on the
+    polynomial whose value and derivative at z are evaluate(z); returns
     the sweep count or None when the update never fell below tol."""
     deg = len(zs)
     for sweep in range(max_sweeps):
         biggest = 0.0
         for i in range(deg):
             zi = zs[i]
-            p, dp = _horner2(coeffs, zi)
+            p, dp = evaluate(zi)
             if dp == 0:
                 zs[i] = zi + tol
                 biggest = float("inf")
@@ -222,44 +244,67 @@ def all_roots(coeffs, precision_bits: int) -> CertifiedRoots:
     nonzero leading and constant term): machine-precision Aberth-Ehrlich
     from a circle start, then Newton in big-int fixed point on one root of
     each conjugate pair, certified by a residual bound and by pairwise
-    disjoint Newton inclusion disks."""
+    disjoint Newton inclusion disks.  A palindromic p, roots z and 1/z,
+    has Aberth on its trace polynomial and Newton on the inner z; each 1/z
+    off the unit circle gets an evaluation and a disk of its own."""
     bits = _check_precision(precision_bits)
     deg = len(coeffs) - 1
     fc = [float(c) for c in coeffs]
-    zs = _init_circle(deg, _start_radius(coeffs))
-    sweeps = _aberth_sweeps(fc, zs, 1e-13, 600)  # certified below
+    palindromic = deg % 2 == 0 and list(coeffs) == list(reversed(coeffs))
+    zs = _init_circle(deg // 2 if palindromic else deg, _start_radius(coeffs))
+    evaluate = functools.partial(_horner2, fc)
+    if palindromic:  # the trace, from the image of the circle
+        zs = [q + 1 / q for q in zs]
+        evaluate = functools.partial(_trace2, fc[deg // 2:])
+    sweeps = _aberth_sweeps(evaluate, zs, 1e-13, 600)  # certified below
     if not all(map(cmath.isfinite, zs)):
         raise NoConvergence("float root iteration diverged")
+    if palindromic:
+        zs = [_inner(w) for w in zs]
     P = bits + _GUARD_BITS
+    one = 1 << P
     # each Newton step doubles the correct bits of a float root: one step at
     # each of 96, 192, 384, ... bits below P, then steps at P (two, as a rule)
     ramp = [96 << k for k in range(P.bit_length()) if 96 << k < P]
     levels = [(Q, [c << Q for c in reversed(coeffs)]) for Q in ramp + [P]]
     Q0 = levels[0][0]
     cap = 4 + P.bit_length()  # quadratic convergence from about 2^-40
+    worst = 0
+
+    def polish(lv, x, y):
+        """Newton over the levels lv from (x, y), then the inclusion disk
+        (x, y, r) there."""
+        nonlocal worst
+        x, y, *p_dp = _newton_fixed(lv, x, y, 1 << (_GUARD_BITS // 2), cap)
+        residual, r = _inclusion_disk(deg, P, x, y, *p_dp)
+        worst = max(worst, residual)
+        # the disk meets the real axis; once the disks are known to be
+        # disjoint, its one root is its own conjugate, so real
+        return (x, 0, r + abs(y)) if abs(y) <= r else (x, y, r)
+
     pairs, alone = _conjugate_pairs(zs)
     todo = pairs + [(k, None) for k in alone]
-    disks, worst = [], 0
+    disks = []
     for i, j in todo:  # grows while it runs: a split pair adds its partner
         (xn, xd), (yn, yd) = (zs[i].real.as_integer_ratio(),
                               zs[i].imag.as_integer_ratio())
-        x, y, *p_dp = _newton_fixed(levels, (xn << Q0) // xd,
-                                    (yn << Q0) // yd,
-                                    1 << (_GUARD_BITS // 2), cap)
-        residual, r = _inclusion_disk(deg, P, x, y, *p_dp)
-        worst = max(worst, residual)
-        if abs(y) <= r:
-            # the disk meets the real axis; once the disks are known to be
-            # disjoint, its one root is its own conjugate, so real
-            r += abs(y)
-            y = 0
-            if j is not None:
-                todo.append((j, None))
-        elif j is not None:
-            # real coefficients: the mirrored disk holds the conjugate root,
-            # and |p| is the same there
-            disks.append((x, -y, r))
-        disks.append((x, y, r))
+        x, y, r = polish(levels, (xn << Q0) // xd, (yn << Q0) // yd)
+        # a disk that meets the unit circle is mirrored, not inverted: there
+        # 1/z is the conjugate (isqrt floors by under 1 unit)
+        unit = (palindromic and y != 0
+                and abs(math.isqrt(x * x + y * y) - one) <= r + 1)
+        if j is not None and (y == 0 or unit):
+            todo.append((j, None))
+            j = None
+        found = [(x, y, r)]
+        if palindromic and not unit:
+            found.append(polish(levels[-1:], *cdiv(one, 0, x, y, P)))
+        for x, y, r in found:
+            if j is not None or unit:
+                # real coefficients: the mirrored disk holds the conjugate
+                # root, and |p| is the same there
+                disks.append((x, -y, r))
+            disks.append((x, y, r))
     if worst * 10 ** (bits // 4) >= 1 << P:
         raise NoConvergence(f"residual {nstr(Dyadic(worst, -P), 5)} above "
                             f"bound 1.0e-{bits // 4}")

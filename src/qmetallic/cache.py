@@ -172,7 +172,8 @@ def cached_table(n: int, L: int, engine: str = "precurrence",
     if isinstance(table, CoeffTable) and table.upto >= L:
         return table.truncate(L)
     if tag == "precurrence":
-        out = CoeffTable(n, L, None, tag, body=_decimal_body(kappa_text(n, L)))
+        out = CoeffTable(n, L, None, tag,
+                         body=_decimal_body(list(kappa_text(n, L))))
     else:
         out = table_engine(tag)(n, L)
     cache_store(key, out, cache_dir)

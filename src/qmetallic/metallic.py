@@ -94,16 +94,26 @@ def _ints(texts) -> tuple:
                  else int(decimal.Decimal(t)) for t in texts)
 
 
-def _decimal_body(texts) -> bytes:
+def _decimal_body(texts: list) -> bytes:
     """The body form of a table: each canonical decimal text followed by a
-    newline, as ASCII bytes."""
-    return "\n".join([*texts, ""]).encode("ascii")
+    newline, as ASCII bytes.  Empties `texts` once they are joined, so that
+    no more than two copies of the text are alive at once."""
+    joined = "\n".join([*texts, ""])
+    texts.clear()
+    return joined.encode("ascii")
 
 
-def _line_end(body: bytes, k: int) -> int:
-    """The offset just past the k-th newline of body."""
-    end = 0
+def _line_end(body: bytes, k: int, lines: int = 0) -> int:
+    """The offset just past the k-th newline of body.  When body is known
+    to hold `lines` newlines and k is past half of them, the search steps
+    back from the end over the lines after the k-th."""
     try:
+        if lines - k < k <= lines:
+            end = len(body)
+            for _ in range(lines - k):
+                end = body.rindex(b"\n", 0, end - 1) + 1
+            return end
+        end = 0
         for _ in range(k):
             end = body.index(b"\n", end) + 1
     except ValueError:
@@ -170,7 +180,8 @@ class CoeffTable:
         values, body = self._values, self._body
         return CoeffTable(
             self.n, upto, None if values is None else values[:upto],
-            self.engine, None if body is None else body[:_line_end(body, upto)])
+            self.engine,
+            None if body is None else body[:_line_end(body, upto, self.upto)])
 
     def to_series(self) -> LaurentSeries:
         return LaurentSeries(0, list(self.values), self.upto)

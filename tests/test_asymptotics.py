@@ -4,7 +4,8 @@ import inspect
 import itertools
 
 import pytest
-from mpmath import fabs, mp, mpc, mpf, nstr, polyroots, power, sqrt, workprec
+from mpmath import (fabs, mp, mpc, mpf, nstr, polyroots, polyval, power, sqrt,
+                    workprec)
 
 from qmetallic import asymptotics
 from qmetallic.asymptotics import (
@@ -50,9 +51,34 @@ def test_all_roots_certificate():
 
 
 def test_double_root_rejected():
-    # (q - 1)^2 (q - 3): Newton only creeps into a double root
+    # (q - 1)^2 (q - 3): Newton only creeps into a double root; and the
+    # palindromic (1 + 3q + q^2)^2, whose trace polynomial has one too
     with pytest.raises((NoConvergence, MultipleRoot)):
         all_roots([-3, 7, -5, 1], 256)
+    with pytest.raises((NoConvergence, MultipleRoot)):
+        all_roots([1, 6, 11, 6, 1], 256)
+
+
+@pytest.mark.parametrize("coeffs", [
+    [1, 2, -1, 2, 1],  # (1 - q + q^2)(1 + 3q + q^2)
+    [1, -1, -10, -1, 1],  # (1 + 3q + q^2)(1 - 4q + q^2)
+    [1, 0, 1, 0, 1],  # (1 - q + q^2)(1 + q + q^2)
+    [1, 0, 3, -1, 3, 0, 1],  # (1 - q + q^2)(1 + q + 3q^2 + q^3 + q^4)
+])
+def test_all_roots_palindromic(coeffs):
+    # roots z and 1/z: conjugate pairs on the unit circle, real reciprocal
+    # pairs and a quadruple z, conj(z), 1/z, 1/conj(z), against mpmath's
+    # own Durand-Kerner at 320 bits
+    roots = all_roots(coeffs, 256)
+    assert len(roots) == len(roots.radii) == len(coeffs) - 1
+    with workprec(320):
+        want = polyroots(list(reversed(coeffs)), maxsteps=200, extraprec=320)
+        got = list(map(to_mp, roots))
+        for a, b in ((got, want), (want, got)):
+            for z in a:
+                assert min(fabs(z - w) for w in b) < mpf(10) ** -70
+    # a real root is returned on the real axis
+    assert all(z.imag == 0 for z in roots if abs(float(z.imag)) < 1e-30)
 
 
 def test_overlapping_disks_rejected(monkeypatch):
@@ -203,11 +229,12 @@ def _Q_coeffs(n):
 
 
 def test_float_sweeps_bounded():
-    # Aberth starts on a circle near the roots, not outside a coefficient
-    # bound: at most 20 sweeps for every n <= 48, 437 in all
+    # Aberth starts near the roots, not outside a coefficient bound, and
+    # runs on the n roots of the trace polynomial: at most 10 sweeps for
+    # every n <= 48, 342 in all
     sweeps = [singularity_report(n).float_sweeps for n in range(1, 49)]
-    assert max(sweeps) <= 20
-    assert sum(sweeps) <= 500
+    assert max(sweeps) <= 12
+    assert sum(sweeps) <= 360
 
 
 @pytest.mark.parametrize("n", [2, 19, 43, 48])
@@ -260,16 +287,42 @@ def test_pair_on_the_real_axis_polished_on_its_own(monkeypatch):
     assert [round(float(z.real), 12) for z in roots] == [1.0, 2.0, 3.0]
 
 
-def test_mirror_without_conjugation_rejected():
-    # a mutant that mirrors (x, y) to (x, y): each disk shows up twice
+def _mutant_all_roots(old, new):
     source = inspect.getsource(asymptotics.all_roots)
-    mutant = source.replace("disks.append((x, -y, r))",
-                            "disks.append((x, y, r))")
+    mutant = source.replace(old, new)
     assert mutant != source
     scope = dict(vars(asymptotics))
     exec(compile(mutant, asymptotics.__file__, "exec"), scope)
+    return scope["all_roots"]
+
+
+def test_mirror_without_conjugation_rejected():
+    # a mutant that mirrors (x, y) to (x, y): each disk shows up twice
+    mutant = _mutant_all_roots("disks.append((x, -y, r))",
+                               "disks.append((x, y, r))")
     with pytest.raises(MultipleRoot, match="overlap"):
-        scope["all_roots"](_Q_coeffs(5), DEFAULT_PRECISION)
+        mutant(_Q_coeffs(5), DEFAULT_PRECISION)
+
+
+def test_reciprocal_without_inversion_rejected():
+    # a mutant that takes the reciprocal of z as z: each disk shows up twice
+    mutant = _mutant_all_roots("cdiv(one, 0, x, y, P)", "(x, y)")
+    with pytest.raises(MultipleRoot, match="overlap"):
+        mutant(_Q_coeffs(5), DEFAULT_PRECISION)
+
+
+def test_root_sets_closed_under_inversion():
+    # Q_n is palindromic, so 1/z is a root with z: checked on the certified
+    # roots alone, whatever path all_roots took to them
+    with workprec(320):
+        for n in range(1, 49):
+            roots = list(map(to_mp, roots_Q(n)))
+            near = [complex(z) for z in roots]
+            for z in roots:
+                w = 1 / z
+                k = min(range(len(roots)),
+                        key=lambda k: abs(near[k] - complex(w)))
+                assert fabs(roots[k] - w) < mpf(10) ** -70
 
 
 @pytest.mark.parametrize("a, b", [(0, 1), (1, 0), (2, 5)])
@@ -289,7 +342,7 @@ def test_float_stage_with_a_wrong_partner_rejected(monkeypatch, a, b):
 
     monkeypatch.setattr(asymptotics, "_aberth_sweeps", wrong_partner)
     with pytest.raises(MultipleRoot, match="overlap"):
-        all_roots(_Q_coeffs(6), DEFAULT_PRECISION)
+        all_roots(_Q_coeffs(12), DEFAULT_PRECISION)
 
 
 def test_closest_moduli_two_dominant_roots():
@@ -315,6 +368,21 @@ def test_leading_term_has_the_sign_of_the_coefficients(n):
     ls = range(2000, 3001, 50)
     agree = sum((leading_term(n, l) > 0) == (kv[l] > 0) for l in ls)
     assert agree > (len(ls) // 2 if n == 19 else len(ls) - 3)
+
+
+def test_gamma_moduli_from_the_derivative():
+    # |gamma|^2 = |(1 - z + z^2) z Q'(z)| / (4 |z|^2) at every dominant root
+    # z, apart from the root product that gives the constants (their sign is
+    # test_leading_term_has_the_sign_of_the_coefficients' to check)
+    for n in range(1, 49):
+        rep = singularity_report(n)
+        coeffs = list(poly_Q(n).coeffs)
+        dq = [k * c for k, c in enumerate(coeffs)][:0:-1]  # highest first
+        with workprec(rep.precision_bits + 64):
+            for z, g in zip(map(to_mp, rep.dominant), map(to_mp, rep.gammas)):
+                want = (fabs((1 - z + z * z) * z * polyval(dq, z))
+                        / (4 * fabs(z) ** 2))
+                assert fabs(fabs(g) ** 2 / want - 1) < mpf(10) ** -60
 
 
 def test_n44_constants_on_the_principal_branch():
