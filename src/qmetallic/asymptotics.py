@@ -2,16 +2,17 @@
 
 The growth of the series coefficients is governed by the roots of the
 palindromic polynomial Q_n (the reduced discriminant factor), whose roots
-pair off as z, 1/z.  This module finds the n roots w = z + 1/z of its trace
-polynomial by Aberth-Ehrlich simultaneous iteration in machine precision,
-polishes the inner z of one w in each conjugate pair by Newton's method in
-big-int fixed point (its conjugate is the mirror image), takes each 1/z in
-fixed point with an evaluation of its own (on the unit circle 1/z is the
-conjugate, mirrored once), and certifies all 2n by a residual bound and by
+pair off as z, 1/z.  Root isolation (`all_roots`) takes only such
+polynomials.  It finds the n roots w = z + 1/z of the trace polynomial by
+Aberth-Ehrlich simultaneous iteration in machine precision, polishes the
+inner z of one w in each conjugate pair by Newton's method in big-int
+fixed point (its conjugate is the mirror image), takes each 1/z in fixed
+point with an evaluation of its own (on the unit circle 1/z is the
+conjugate, mirrored once), certifies all 2n by a residual bound and by
 pairwise disjoint Newton inclusion disks (each then holds exactly one
-root).  It lists the roots by modulus, then by argument, extracts the
-dominant ones (minimal modulus, the radius of convergence), and assembles
-the square-root singularity constants and the leading asymptotic term
+root), and lists them by modulus, then by argument.  The module extracts
+the dominant ones (minimal modulus, the radius of convergence), and
+assembles the square-root singularity constants and the leading term
 
     alpha_l = sum_j (-gamma_j / (2 sqrt(pi))) zeta_j^(-l) l^(-3/2).
 
@@ -25,7 +26,6 @@ the values are exact `Dyadic` / `DyadicComplex` numbers.
 from __future__ import annotations
 
 import cmath
-import functools
 import itertools
 import math
 import threading
@@ -66,24 +66,6 @@ def _init_circle(deg: int, radius: float) -> list:
     ]
 
 
-def _start_radius(coeffs) -> float:
-    """|a_0/a_d|^(1/d), the geometric mean of the root moduli, pushed
-    slightly outward: Aberth starts near the roots, not outside a bound."""
-    d = len(coeffs) - 1
-    return 1.0625 * math.exp(
-        (math.log(abs(coeffs[0])) - math.log(abs(coeffs[-1]))) / d)
-
-
-def _horner2(coeffs, z):
-    """Evaluate p(z) and p'(z) together."""
-    p = 0 * z
-    dp = 0 * z
-    for c in reversed(coeffs):
-        dp = dp * z + p
-        p = p * z + c
-    return p, dp
-
-
 def _trace2(half, w):
     """S(w) and S'(w) for the trace polynomial of a palindromic p of degree
     2d, p(q) = q^d S(q + 1/q), from `half` = a_d, ..., a_2d: S = a_d + sum
@@ -102,16 +84,17 @@ def _inner(w):
     return 2 / max(w + r, w - r, key=abs)
 
 
-def _aberth_sweeps(evaluate, zs, tol, max_sweeps):
+def _aberth_sweeps(half, zs, tol, max_sweeps):
     """Simultaneous-iteration sweeps in machine complex arithmetic on the
-    polynomial whose value and derivative at z are evaluate(z); returns
-    the sweep count or None when the update never fell below tol."""
+    trace polynomial of the float coefficients a_d, ..., a_2d in `half`
+    (see _trace2); returns the sweep count or None when the update never
+    fell below tol."""
     deg = len(zs)
     for sweep in range(max_sweeps):
         biggest = 0.0
         for i in range(deg):
             zi = zs[i]
-            p, dp = evaluate(zi)
+            p, dp = _trace2(half, zi)
             if dp == 0:
                 zs[i] = zi + tol
                 biggest = float("inf")
@@ -227,10 +210,10 @@ def _order_key(disk, unit):
 
 
 class CertifiedRoots(tuple):
-    """All roots of a polynomial, sorted by modulus and then by argument,
-    with one inclusion radius per root (the disk of that radius around it
-    holds exactly one root) and the sweep count of the float stage (None
-    if it did not converge)."""
+    """All roots of a palindromic polynomial (see all_roots), sorted by
+    modulus and then by argument, with one inclusion radius per root (the
+    disk of that radius around it holds exactly one root) and the sweep
+    count of the float stage on its trace (None if it did not converge)."""
 
     def __new__(cls, roots, radii, float_sweeps):
         self = super().__new__(cls, roots)
@@ -240,27 +223,29 @@ class CertifiedRoots(tuple):
 
 
 def all_roots(coeffs, precision_bits: int) -> CertifiedRoots:
-    """All roots of a real integer polynomial (ascending coefficients,
-    nonzero leading and constant term): machine-precision Aberth-Ehrlich
-    from a circle start, then Newton in big-int fixed point on one root of
-    each conjugate pair, certified by a residual bound and by pairwise
-    disjoint Newton inclusion disks.  A palindromic p, roots z and 1/z,
-    has Aberth on its trace polynomial and Newton on the inner z; each 1/z
-    off the unit circle gets an evaluation and a disk of its own."""
+    """All 2d roots of a palindromic integer polynomial of even degree
+    2d >= 2 (ascending coefficients, coeffs == coeffs[::-1], nonzero
+    constant term), such as Q_n; ValueError on any other input.
+
+    Aberth-Ehrlich in machine precision on the d roots w = z + 1/z of the
+    trace polynomial, then Newton in big-int fixed point on the inner z of
+    one w in each conjugate pair, and an evaluation and disk of its own
+    for each 1/z off the unit circle; all certified by a residual bound
+    and by pairwise disjoint Newton inclusion disks."""
     bits = _check_precision(precision_bits)
     deg = len(coeffs) - 1
-    fc = [float(c) for c in coeffs]
-    palindromic = deg % 2 == 0 and list(coeffs) == list(reversed(coeffs))
-    zs = _init_circle(deg // 2 if palindromic else deg, _start_radius(coeffs))
-    evaluate = functools.partial(_horner2, fc)
-    if palindromic:  # the trace, from the image of the circle
-        zs = [q + 1 / q for q in zs]
-        evaluate = functools.partial(_trace2, fc[deg // 2:])
-    sweeps = _aberth_sweeps(evaluate, zs, 1e-13, 600)  # certified below
+    if (deg < 2 or deg % 2 or coeffs != coeffs[::-1] or coeffs[0] == 0
+            or not all(isinstance(c, int) for c in coeffs)):
+        raise ValueError("all_roots needs a palindromic integer polynomial "
+                         "of even degree >= 2 with a nonzero constant term")
+    half = [float(c) for c in coeffs[deg // 2:]]
+    # the root moduli have geometric mean 1: start the trace on the image of
+    # a circle just outside it
+    zs = [q + 1 / q for q in _init_circle(deg // 2, 1.0625)]
+    sweeps = _aberth_sweeps(half, zs, 1e-13, 600)  # certified below
     if not all(map(cmath.isfinite, zs)):
         raise NoConvergence("float root iteration diverged")
-    if palindromic:
-        zs = [_inner(w) for w in zs]
+    zs = [_inner(w) for w in zs]
     P = bits + _GUARD_BITS
     one = 1 << P
     # each Newton step doubles the correct bits of a float root: one step at
@@ -291,13 +276,12 @@ def all_roots(coeffs, precision_bits: int) -> CertifiedRoots:
         x, y, r = polish(levels, (xn << Q0) // xd, (yn << Q0) // yd)
         # a disk that meets the unit circle is mirrored, not inverted: there
         # 1/z is the conjugate (isqrt floors by under 1 unit)
-        unit = (palindromic and y != 0
-                and abs(math.isqrt(x * x + y * y) - one) <= r + 1)
+        unit = y != 0 and abs(math.isqrt(x * x + y * y) - one) <= r + 1
         if j is not None and (y == 0 or unit):
             todo.append((j, None))
             j = None
         found = [(x, y, r)]
-        if palindromic and not unit:
+        if not unit:
             found.append(polish(levels[-1:], *cdiv(one, 0, x, y, P)))
         for x, y, r in found:
             if j is not None or unit:

@@ -2,6 +2,7 @@
 
 import inspect
 import itertools
+import random
 
 import pytest
 from mpmath import (fabs, mp, mpc, mpf, nstr, polyroots, polyval, power, sqrt,
@@ -25,36 +26,68 @@ from qmetallic.metallic import kappa_values, poly_Q
 from mp_values import to_mp
 
 
-def test_horner2_at_a_complex_point():
-    # 1 + q^2 and its derivative 2q at q = i
-    assert asymptotics._horner2([1, 0, 1], 1j) == (0, 2j)
-    with workprec(200):
-        p, dp = asymptotics._horner2([1, 0, 1], mpc(0, 1))
-        assert p == 0 and dp == mpc(0, 2)
+@pytest.mark.parametrize("coeffs", [
+    [1, 2, -1, 2, 1],
+    [1, 0, 3, -1, 3, 0, 1],
+    [1, 0, -7, 4, 11, 4, -7, 0, 1],
+])
+def test_trace2_is_p_over_q_to_the_d(coeffs):
+    # p(z) = z^d S(z + 1/z), so z^-d p(z) = S(w) at w = z + 1/z, and by the
+    # chain rule z^-d p'(z) - d z^-(d+1) p(z) = S'(w) (1 - 1/z^2)
+    d = len(coeffs) // 2
+    rng = random.Random(30)
+    for _ in range(20):
+        z = complex(rng.uniform(-2, 2), rng.uniform(-2, 2))
+        p = sum(c * z ** k for k, c in enumerate(coeffs))
+        dp = sum(k * c * z ** (k - 1) for k, c in enumerate(coeffs))
+        s, ds = asymptotics._trace2([float(c) for c in coeffs[d:]], z + 1 / z)
+        assert abs(s - p / z ** d) <= 1e-12 * max(1, abs(s))
+        want = (dp / z ** d - d * p / z ** (d + 1)) / (1 - 1 / z ** 2)
+        assert abs(ds - want) <= 1e-12 * max(1, abs(ds))
+        with workprec(200):
+            z = mpc(z)
+            p, dp = polyval(list(reversed(coeffs)), z, derivative=True)
+            s, ds = asymptotics._trace2(list(map(mpf, coeffs[d:])), z + 1 / z)
+            assert fabs(s - p / z ** d) < mpf(2) ** -180 * max(1, fabs(s))
+            want = (dp / z ** d - d * p / z ** (d + 1)) / (1 - 1 / z ** 2)
+            assert fabs(ds - want) < mpf(2) ** -180 * max(1, fabs(ds))
 
 
-def test_all_roots_cubic():
-    # (1-q)(2-q)(3-q) = 6 - 11q + 6q^2 - q^3
-    roots = all_roots([6, -11, 6, -1], 192)
-    got = sorted(float(r.real) for r in roots)
-    assert all(abs(r.imag) < 1e-40 for r in roots)
-    for g, w in zip(got, (1.0, 2.0, 3.0)):
-        assert abs(g - w) < 1e-40
+@pytest.mark.parametrize("coeffs", [
+    [],
+    [1],
+    [0, 1, 0],  # zero constant term
+    [1, 1],  # odd degree
+    [1, 0, 2],  # not palindromic
+    [6, -11, 6, -1],
+    [1.0, 3.0, 1.0],  # not integers
+])
+def test_only_palindromic_integer_input(coeffs):
+    with pytest.raises(ValueError, match="palindromic"):
+        all_roots(coeffs, 256)
+
+
+def test_all_roots_quadratic():
+    # (2 - q)(1 - 2q) = 2 - 5q + 2q^2: the real reciprocal pair 1/2, 2
+    roots = all_roots([2, -5, 2], 192)
+    assert [r.imag for r in roots] == [0, 0]
+    for g, w in zip(roots, (0.5, 2.0)):
+        assert abs(float(g.real) - w) < 1e-40
 
 
 def test_all_roots_certificate():
-    roots = all_roots([6, -11, 6, -1], 192)
-    assert len(roots.radii) == 3 and roots.float_sweeps >= 1
+    roots = all_roots([2, -5, 2], 192)
+    assert len(roots.radii) == 2 and roots.float_sweeps >= 1
     assert all(0 < r < Dyadic(1, -192) for r in roots.radii)
     # real roots are returned on the real axis, not with a rounding residue
     assert all(r.imag == 0 for r in roots)
 
 
 def test_double_root_rejected():
-    # (q - 1)^2 (q - 3): Newton only creeps into a double root; and the
-    # palindromic (1 + 3q + q^2)^2, whose trace polynomial has one too
+    # Newton only creeps into a double root: (2 - 5q + 2q^2)^2 and
+    # (1 + 3q + q^2)^2, whose trace polynomials have one too
     with pytest.raises((NoConvergence, MultipleRoot)):
-        all_roots([-3, 7, -5, 1], 256)
+        all_roots([4, -20, 33, -20, 4], 256)
     with pytest.raises((NoConvergence, MultipleRoot)):
         all_roots([1, 6, 11, 6, 1], 256)
 
@@ -82,22 +115,23 @@ def test_all_roots_palindromic(coeffs):
 
 
 def test_overlapping_disks_rejected(monkeypatch):
-    # two float starts on the root 1 of (1-q)(2-q)(3-q): Newton takes both
-    # there, and the certificate must refuse the pair
-    def two_starts_on_one_root(coeffs, zs, tol, max_sweeps):
-        zs[:] = [1 + 1e-9j, 1 - 1e-9j, 3 + 0j]
+    # (1 + 3q + q^2)(1 - 4q + q^2) has the trace roots w = -3 and 4; both
+    # float starts on w = 4 take Newton to the root 2 - sqrt(3), and the
+    # certificate must refuse the pair
+    def two_starts_on_one_root(half, zs, tol, max_sweeps):
+        zs[:] = [4 + 1e-9j, 4 - 1e-9j]
         return None
 
     monkeypatch.setattr(asymptotics, "_aberth_sweeps", two_starts_on_one_root)
     with pytest.raises(MultipleRoot, match="overlap"):
-        all_roots([6, -11, 6, -1], 256)
+        all_roots([1, -1, -10, -1, 1], 256)
 
 
 def test_residual_gate_enforced():
-    # 10^80 (3q - 1)(q - 2)(q - 5): the disks are tiny and disjoint, but
-    # |p(z)| near 1/3 stays far above 10^-(bits/4) at this precision
+    # 10^80 (1 - q + q^2)(1 + 3q + q^2): the disks are tiny and disjoint,
+    # but |p(z)| stays far above 10^-(bits/4) at this precision
     with pytest.raises(NoConvergence, match="residual"):
-        all_roots([c * 10 ** 80 for c in (-10, 37, -22, 3)], 256)
+        all_roots([c * 10 ** 80 for c in (1, 2, -1, 2, 1)], 256)
 
 
 @pytest.mark.parametrize("n", [3, 8])
@@ -263,8 +297,8 @@ def test_order_does_not_follow_the_path(monkeypatch):
             for z in all_roots(_Q_coeffs(12), DEFAULT_PRECISION)]
     sweeps = asymptotics._aberth_sweeps
 
-    def moved(coeffs, zs, tol, max_sweeps):
-        count = sweeps(coeffs, zs, tol, max_sweeps)
+    def moved(half, zs, tol, max_sweeps):
+        count = sweeps(half, zs, tol, max_sweeps)
         zs[:] = [z * (1 + 1e-12j) for z in reversed(zs)]
         return count
 
@@ -274,17 +308,19 @@ def test_order_does_not_follow_the_path(monkeypatch):
 
 
 def test_pair_on_the_real_axis_polished_on_its_own(monkeypatch):
-    # float roots 1 and 2 of (1-q)(2-q)(3-q) off the axis by +-1e-20 pair
-    # up; the disk of the first meets the real axis, so the second is
-    # polished on its own instead of mirrored
-    def paired_real_roots(coeffs, zs, tol, max_sweeps):
-        zs[:] = [1 + 1e-20j, 2 - 1e-20j, 3 + 0j]
+    # the trace roots -3 and 4 of (1 + 3q + q^2)(1 - 4q + q^2) off the axis
+    # by +-1e-20 pair up; the disk of the first inner root meets the real
+    # axis, so the second is polished on its own instead of mirrored
+    def paired_real_roots(half, zs, tol, max_sweeps):
+        zs[:] = [-3 + 1e-20j, 4 - 1e-20j]
         return None
 
     monkeypatch.setattr(asymptotics, "_aberth_sweeps", paired_real_roots)
-    roots = all_roots([6, -11, 6, -1], 192)
-    assert [z.imag for z in roots] == [0, 0, 0]
-    assert [round(float(z.real), 12) for z in roots] == [1.0, 2.0, 3.0]
+    roots = all_roots([1, -1, -10, -1, 1], 192)
+    assert [z.imag for z in roots] == [0, 0, 0, 0]
+    s3, s5 = 3 ** 0.5, 5 ** 0.5
+    want = [2 - s3, (s5 - 3) / 2, -(s5 + 3) / 2, 2 + s3]
+    assert all(abs(float(z.real) - w) < 1e-12 for z, w in zip(roots, want))
 
 
 def _mutant_all_roots(old, new):
@@ -332,8 +368,8 @@ def test_float_stage_with_a_wrong_partner_rejected(monkeypatch, a, b):
     # must be a refusal, never a wrong root set
     sweeps = asymptotics._aberth_sweeps
 
-    def wrong_partner(coeffs, zs, tol, max_sweeps):
-        count = sweeps(coeffs, zs, tol, max_sweeps)
+    def wrong_partner(half, zs, tol, max_sweeps):
+        count = sweeps(half, zs, tol, max_sweeps)
         upper = sorted((z for z in zs if z.imag > 0), key=abs)
         za, zb = upper[a], upper[b]
         k = min(range(len(zs)), key=lambda k: abs(zs[k] - za.conjugate()))
