@@ -3,16 +3,17 @@
 The growth of the series coefficients is governed by the roots of the
 palindromic polynomial Q_n (the reduced discriminant factor), whose roots
 pair off as z, 1/z.  Root isolation (`all_roots`) takes only such
-polynomials.  It finds the n roots w = z + 1/z of the trace polynomial by
-Aberth-Ehrlich simultaneous iteration in machine precision, polishes the
-inner z of one w in each conjugate pair by Newton's method in big-int
-fixed point (its conjugate is the mirror image), takes each 1/z in fixed
-point with an evaluation of its own (on the unit circle 1/z is the
-conjugate, mirrored once), certifies all 2n by a residual bound and by
-pairwise disjoint Newton inclusion disks (each then holds exactly one
-root), and lists them by modulus, then by argument.  The module extracts
-the dominant ones (minimal modulus, the radius of convergence), and
-assembles the square-root singularity constants and the leading term
+polynomials and works on their trace polynomial S of degree n, whose
+roots are the n sums w = z + 1/z.  It finds them by Aberth-Ehrlich
+simultaneous iteration in machine precision, polishes one w of each
+conjugate pair by Newton's method in big-int fixed point (its conjugate
+is the mirror image) and certifies it by S's Newton inclusion disk, maps
+each w-disk to disks for z and 1/z by a Rouche bound on q^2 - wq + 1,
+gates on a residual bound, tests the 2n disks pairwise disjoint (each then
+holds exactly one root), and lists them by modulus, then by argument.
+The module extracts the dominant ones (minimal modulus, the radius of
+convergence), and assembles the square-root singularity constants and the
+leading term
 
     alpha_l = sum_j (-gamma_j / (2 sqrt(pi))) zeta_j^(-l) l^(-3/2).
 
@@ -26,7 +27,6 @@ the values are exact `Dyadic` / `DyadicComplex` numbers.
 from __future__ import annotations
 
 import cmath
-import itertools
 import math
 import threading
 
@@ -76,12 +76,6 @@ def _trace2(half, w):
     for c in reversed(half[1:]):
         b1, b2, db1, db2 = c + w * b1 - b2, b1, b1 + w * db1 - db2, db1
     return half[0] + w * b1 - 2 * b2, b1 + w * db1 - 2 * db2
-
-
-def _inner(w):
-    """The root of q^2 - w q + 1 of modulus <= 1, as 1/(the other)."""
-    r = cmath.sqrt(w * w - 4)
-    return 2 / max(w + r, w - r, key=abs)
 
 
 def _aberth_sweeps(half, zs, tol, max_sweeps):
@@ -138,28 +132,71 @@ def _horner_fixed(scaled, x, y, P):
     return pr, pi_, dr, di
 
 
-def _horner_error(deg, m, P):
-    """Bounds, in units, on the rounding error of _horner_fixed in p and in
-    p' at any |z| <= m units."""
-    ep = edp = 0
-    for _ in range(deg + 1):
-        edp = -((-edp * m) >> P) + 2 + ep
-        ep = -((-ep * m) >> P) + 2
-    return ep, edp
+def _clenshaw_fixed(scaled, x, y, P):
+    """S(w) and S'(w) in fixed point at w = (x, y), by the recurrence of
+    _trace2; `scaled` holds a_2d, ..., a_d, each multiplied by 2^P."""
+    br = bi = b2r = b2i = dr = di = d2r = d2i = 0
+    for c in scaled[:-1]:
+        br, bi, b2r, b2i, dr, di, d2r, d2i = (
+            c + ((x * br - y * bi) >> P) - b2r, ((x * bi + y * br) >> P) - b2i,
+            br, bi,
+            br + ((x * dr - y * di) >> P) - d2r,
+            bi + ((x * di + y * dr) >> P) - d2i,
+            dr, di)
+    return (scaled[-1] + ((x * br - y * bi) >> P) - 2 * b2r,
+            ((x * bi + y * br) >> P) - 2 * b2i,
+            br + ((x * dr - y * di) >> P) - 2 * d2r,
+            bi + ((x * di + y * dr) >> P) - 2 * d2i)
+
+
+def _clenshaw_error(deg, x, y, P):
+    """Bounds, in units, on the rounding error of _clenshaw_fixed in S and
+    in S' at w = (x, y), for S of degree `deg`.
+
+    With z, 1/z the roots of q^2 - wq + 1, put T_k = z^k + z^-k and
+    U_k = z^k + z^(k-2) + ... + z^-k, so that U_k = w U_(k-1) - U_(k-2) and
+    T_k = w U_(k-1) - 2 U_(k-2).  An error e made in b_j (a rounded product
+    is off by under 2 units) reaches b_1 as e U_(j-1)(w) and S as
+    e T_j(w).  The derivative's recurrence adds b_(j+1) into db_j, so S'
+    takes b_1's error once, and b_(j+1)'s error and each of its own
+    rounding errors times T_j(w).  With R = max(|z|, 1/|z|),
+    |T_k| <= 2 R^k and |U_k| <= (k + 1) R^k: the growth at the point
+    itself, where a bound from |w| alone grows like
+    ((|w| + sqrt(|w|^2 + 4)) / 2)^k.  Since
+    |z + 1/z|^2 + |z - 1/z|^2 = 2 (|z|^2 + |z|^-2), R^2 + R^-2 is
+    A = (|w|^2 + |w^2 - 4|) / 2 and R^2 = (A + sqrt(A^2 - 4)) / 2.  All of
+    it is rounded up, in units of 2^-G."""
+    G = 32
+    re, im = x * x - y * y - (4 << 2 * P), 2 * x * y  # w^2 - 4, in 2^-2P
+    a = ((x * x + y * y + math.isqrt(re * re + im * im) + 1)
+         >> 2 * (P - G) + 1) + 1  # A in 2^-2G
+    R = math.isqrt(((a + math.isqrt(a * a - (4 << 4 * G)) + 1) >> 1) + 1) + 1
+    # su >= the sum of (k + 1) R^k over k < deg, st of R^k over 1 <= k <= deg
+    power, su, st = 1 << G, 0, 0
+    for k in range(1, deg + 1):
+        su += k * power
+        power = (power * R >> G) + 1
+        st += power
+    # every |error of b_j| <= e = 2 su; S: 2 + 2 sum |T_k|; S':
+    # e + sum (e + 2) |T_k| + 2
+    e, two = 2 * su, 2 << G
+    es = two + 4 * st
+    eds = e - (-(e + two) * 2 * st >> G) + two
+    return -(-es >> G), -(-eds >> G)
 
 
 def _newton_fixed(levels, x, y, stop, cap):
-    """Newton from (x, y) over `levels`, pairs (Q, the coefficients highest
-    first times 2^Q) of rising precision Q, with (x, y) in units of the
-    first: one step at each level but the last, then steps at the last
-    until one is below `stop` units.  Returns the last point and p, p'
-    there, or raises NoConvergence."""
+    """Newton on S from w = (x, y) over `levels`, pairs (Q, a_2d, ..., a_d
+    times 2^Q) of rising precision Q, with (x, y) in units of the first:
+    one step at each level but the last, then steps at the last until one
+    is below `stop` units.  Returns the last point and S, S' there, or
+    raises NoConvergence."""
     prev, last = levels[0][0], len(levels) - 1
     for k, (P, scaled) in enumerate(levels):
         x, y = x << (P - prev), y << (P - prev)
         prev = P
         for _ in range(cap if k == last else 1):
-            pr, pi_, dr, di = _horner_fixed(scaled, x, y, P)
+            pr, pi_, dr, di = _clenshaw_fixed(scaled, x, y, P)
             den = dr * dr + di * di
             if den == 0:
                 raise NoConvergence("Newton step hit a zero derivative")
@@ -172,18 +209,60 @@ def _newton_fixed(levels, x, y, stop, cap):
 
 
 def _inclusion_disk(deg, P, x, y, pr, pi_, dr, di):
-    """(bound on |p(z)|, radius) in units, for z = (x, y) with p, p' there.
-
-    The radius is the Newton disk deg*|p/p'| with the rounding of both
-    evaluations, plus 2(|z| + 1) units of slack.  It holds at least one
-    root."""
-    m = math.isqrt(x * x + y * y) + 1
-    ep, edp = _horner_error(deg, m, P)
-    residual = math.isqrt(pr * pr + pi_ * pi_) + 1 + ep
-    slope = math.isqrt(dr * dr + di * di) - edp  # <= |p'(z)|
+    """The radius in units of the Newton disk deg*|S/S'| around w = (x, y),
+    from S, S' there and the rounding of both: it holds a root of S."""
+    es, eds = _clenshaw_error(deg, x, y, P)
+    residual = math.isqrt(pr * pr + pi_ * pi_) + 1 + es
+    slope = math.isqrt(dr * dr + di * di) - eds  # <= |S'(w)|
     if slope <= 0:
         raise MultipleRoot("derivative not bounded away from 0 at a root")
-    return residual, -((-deg * residual << P) // slope) + 2 * ((m >> P) + 1)
+    return -((-deg * residual << P) // slope)
+
+
+def _transfer(x, y, r, P):
+    """The roots z and 1/z of q^2 - wq + 1 at the centre w = (x, y) of a
+    trace-root disk of radius r, each as a disk (x, y, rho) that holds
+    exactly one root of q^2 - w'q + 1 for every w' in the w-disk.
+
+    For a fixed-point z, g(q) = (q - z)(q - w + z) has the roots z and
+    w - z, and q^2 - w'q + 1 = g(q) + (w - w') q + e with the exact
+    e = z^2 - wz + 1.  On |q - z| = rho, |g| >= rho (D - rho) with
+    D = |2z - w|, and the rest is at most r (|z| + rho) + |e|; by Rouche
+    the disk holds one root once rho (D - r - rho) > r |z| + |e|, which is
+    checked in ints.  A w-disk that meets +-2, where z = 1/z is a double
+    root, can pass this for neither root: MultipleRoot."""
+    ur, ui = csqrt(((x * x - y * y) >> P) - (4 << P), (x * y) >> (P - 1), P)
+    out = []
+    for s in (1, -1):
+        # halved toward zero, so that for a real w in (-2, 2) the two are
+        # exact conjugates
+        zx, zy = (x + s * ur) >> 1, (y + s * ui + (y + s * ui < 0)) >> 1
+        ex = zx * zx - zy * zy - x * zx + y * zy + (1 << 2 * P)
+        ey = 2 * zx * zy - x * zy - y * zx
+        gap = math.isqrt((2 * zx - x) ** 2 + (2 * zy - y) ** 2) - r
+        c = r * (math.isqrt(zx * zx + zy * zy) + 1) + math.isqrt(
+            ex * ex + ey * ey) + 1
+        # rho (gap - rho) - c = c (1 - 4c / gap^2) > 0 at rho = 2c / gap
+        rho = 2 * c // gap + 1 if gap > 0 else 0
+        if rho * (gap - rho) <= c:
+            raise MultipleRoot("the disk of a trace root does not separate "
+                               "z from 1/z")
+        out.append((zx, zy, rho))
+    return out
+
+
+def _residual_bound(coeffs, disks, P):
+    """A bound, in units, on |p(z)| at the centre z of every disk (x, y, r)
+    of `disks`, each of which holds a root z* of p: |p(z)| = |p(z) - p(z*)|
+    <= r max |p'| over the disk, and |p'| <= sum k |a_k| M^(k-1) there, with
+    M >= |z| + r; summed in units of 2^-G, rounded up."""
+    G = 32
+    M = (max(math.isqrt(x * x + y * y) + r for x, y, r in disks)
+         >> P - G) + 1
+    dp = 0
+    for k in range(len(coeffs) - 1, 0, -1):
+        dp = -(-dp * M >> G) + (k * abs(coeffs[k]) << G)
+    return -(-max(r for *_, r in disks) * dp >> G)
 
 
 def _conjugate_pairs(zs):
@@ -212,8 +291,9 @@ def _order_key(disk, unit):
 class CertifiedRoots(tuple):
     """All roots of a palindromic polynomial (see all_roots), sorted by
     modulus and then by argument, with one inclusion radius per root (the
-    disk of that radius around it holds exactly one root) and the sweep
-    count of the float stage on its trace (None if it did not converge)."""
+    disks are pairwise disjoint, and each holds exactly one root) and the
+    sweep count of the float stage on its trace (None if it did not
+    converge)."""
 
     def __new__(cls, roots, radii, float_sweeps):
         self = super().__new__(cls, roots)
@@ -228,75 +308,74 @@ def all_roots(coeffs, precision_bits: int) -> CertifiedRoots:
     constant term), such as Q_n; ValueError on any other input.
 
     Aberth-Ehrlich in machine precision on the d roots w = z + 1/z of the
-    trace polynomial, then Newton in big-int fixed point on the inner z of
-    one w in each conjugate pair, and an evaluation and disk of its own
-    for each 1/z off the unit circle; all certified by a residual bound
-    and by pairwise disjoint Newton inclusion disks."""
+    trace polynomial S, then Newton in big-int fixed point on S, of degree
+    d, for one w in each conjugate pair (its partner is the mirror image),
+    and S's Newton inclusion disk there.  Each w-disk gives disks for z and
+    1/z by a Rouche bound on q^2 - wq + 1 (see _transfer), so each of the
+    2d disks holds a root of p.  A bound on |p| at their centres must lie
+    below 10^-(bits/4), and once the disks are pairwise disjoint each holds
+    exactly one root."""
     bits = _check_precision(precision_bits)
     deg = len(coeffs) - 1
     if (deg < 2 or deg % 2 or coeffs != coeffs[::-1] or coeffs[0] == 0
             or not all(isinstance(c, int) for c in coeffs)):
         raise ValueError("all_roots needs a palindromic integer polynomial "
                          "of even degree >= 2 with a nonzero constant term")
-    half = [float(c) for c in coeffs[deg // 2:]]
+    d = deg // 2
+    half = [float(c) for c in coeffs[d:]]
     # the root moduli have geometric mean 1: start the trace on the image of
     # a circle just outside it
-    zs = [q + 1 / q for q in _init_circle(deg // 2, 1.0625)]
-    sweeps = _aberth_sweeps(half, zs, 1e-13, 600)  # certified below
-    if not all(map(cmath.isfinite, zs)):
+    ws = [q + 1 / q for q in _init_circle(d, 1.0625)]
+    sweeps = _aberth_sweeps(half, ws, 1e-13, 600)  # certified below
+    if not all(map(cmath.isfinite, ws)):
         raise NoConvergence("float root iteration diverged")
-    zs = [_inner(w) for w in zs]
     P = bits + _GUARD_BITS
-    one = 1 << P
     # each Newton step doubles the correct bits of a float root: one step at
     # each of 96, 192, 384, ... bits below P, then steps at P (two, as a rule)
     ramp = [96 << k for k in range(P.bit_length()) if 96 << k < P]
-    levels = [(Q, [c << Q for c in reversed(coeffs)]) for Q in ramp + [P]]
+    levels = [(Q, [c << Q for c in reversed(coeffs[d:])]) for Q in ramp + [P]]
     Q0 = levels[0][0]
     cap = 4 + P.bit_length()  # quadratic convergence from about 2^-40
-    worst = 0
-
-    def polish(lv, x, y):
-        """Newton over the levels lv from (x, y), then the inclusion disk
-        (x, y, r) there."""
-        nonlocal worst
-        x, y, *p_dp = _newton_fixed(lv, x, y, 1 << (_GUARD_BITS // 2), cap)
-        residual, r = _inclusion_disk(deg, P, x, y, *p_dp)
-        worst = max(worst, residual)
-        # the disk meets the real axis; once the disks are known to be
-        # disjoint, its one root is its own conjugate, so real
-        return (x, 0, r + abs(y)) if abs(y) <= r else (x, y, r)
-
-    pairs, alone = _conjugate_pairs(zs)
+    pairs, alone = _conjugate_pairs(ws)
     todo = pairs + [(k, None) for k in alone]
     disks = []
     for i, j in todo:  # grows while it runs: a split pair adds its partner
-        (xn, xd), (yn, yd) = (zs[i].real.as_integer_ratio(),
-                              zs[i].imag.as_integer_ratio())
-        x, y, r = polish(levels, (xn << Q0) // xd, (yn << Q0) // yd)
-        # a disk that meets the unit circle is mirrored, not inverted: there
-        # 1/z is the conjugate (isqrt floors by under 1 unit)
-        unit = y != 0 and abs(math.isqrt(x * x + y * y) - one) <= r + 1
-        if j is not None and (y == 0 or unit):
-            todo.append((j, None))
-            j = None
-        found = [(x, y, r)]
-        if not unit:
-            found.append(polish(levels[-1:], *cdiv(one, 0, x, y, P)))
-        for x, y, r in found:
-            if j is not None or unit:
+        (xn, xd), (yn, yd) = (ws[i].real.as_integer_ratio(),
+                              ws[i].imag.as_integer_ratio())
+        x, y, *s_ds = _newton_fixed(levels, (xn << Q0) // xd, (yn << Q0) // yd,
+                                    1 << (_GUARD_BITS // 2), cap)
+        r = _inclusion_disk(d, P, x, y, *s_ds)
+        if abs(y) <= r:
+            # the disk meets the real axis: moved onto it, it still holds a
+            # root, and once the z-disks are disjoint that root is its own
+            # conjugate, so real; the partner is polished on its own
+            y, r = 0, r + abs(y)
+            if j is not None:
+                todo.append((j, None))
+                j = None
+        for zx, zy, rho in _transfer(x, y, r, P):
+            disks.append((zx, zy, rho))
+            if j is not None:
                 # real coefficients: the mirrored disk holds the conjugate
-                # root, and |p| is the same there
-                disks.append((x, -y, r))
-            disks.append((x, y, r))
+                disks.append((zx, -zy, rho))
+    worst = _residual_bound(coeffs, disks, P)
     if worst * 10 ** (bits // 4) >= 1 << P:
         raise NoConvergence(f"residual {nstr(Dyadic(worst, -P), 5)} above "
                             f"bound 1.0e-{bits // 4}")
-    disks.sort(key=lambda d: _order_key(d, 1 << P))
-    for (i, (xi, yi, ri)), (j, (xj, yj, rj)) in itertools.combinations(
-            enumerate(disks), 2):
-        if (xi - xj) ** 2 + (yi - yj) ** 2 <= (ri + rj) ** 2:
-            raise MultipleRoot(f"inclusion disks of roots {i} and {j} overlap")
+    disks.sort(key=lambda disk: _order_key(disk, 1 << P))
+    # by left edge x - r: a disk can meet only those that start before its
+    # right edge, so the sweep stops there
+    edge = sorted(range(len(disks)), key=lambda k: disks[k][0] - disks[k][2])
+    for s, i in enumerate(edge):
+        xi, yi, ri = disks[i]
+        for t in range(s + 1, len(edge)):
+            xj, yj, rj = disks[edge[t]]
+            if xj - rj > xi + ri:
+                break
+            if (xi - xj) ** 2 + (yi - yj) ** 2 <= (ri + rj) ** 2:
+                i, j = sorted((i, edge[t]))
+                raise MultipleRoot(
+                    f"inclusion disks of roots {i} and {j} overlap")
     return CertifiedRoots(
         [DyadicComplex(Dyadic(x, -P), Dyadic(y, -P)) for x, y, _ in disks],
         [Dyadic(r, -P) for *_, r in disks], sweeps)

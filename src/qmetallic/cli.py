@@ -260,6 +260,9 @@ def _complex_str(z, digits: int = 30) -> dict:
 
 
 def cmd_asymptotics(args) -> int:
+    if args.format != "json":
+        return _fail(f"asymptotics: --format {args.format} is not supported "
+                     "(the report is JSON only)")
     rep = asym.singularity_report(args.n, args.precision_bits)
     doc = {
         "n": rep.n,

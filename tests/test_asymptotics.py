@@ -1,5 +1,6 @@
 """Unit tests for root finding and coefficient asymptotics."""
 
+import functools
 import inspect
 import itertools
 import random
@@ -279,6 +280,17 @@ def test_mirrored_pairs_exactly_conjugate(n):
         assert z.imag == 0 or radius_at[z.conjugate()] == r
 
 
+@pytest.mark.parametrize("coeffs", [[1, 0, 1, 0, 1], [1, 2, -1, 2, 1]])
+def test_unit_circle_pairs_exactly_conjugate(coeffs):
+    # a real trace root w in (-2, 2) maps to z and 1/z = conj(z) on the unit
+    # circle, one disk each: exact mirror images with one radius
+    roots = all_roots(coeffs, DEFAULT_PRECISION)
+    radius_at = dict(zip(roots, roots.radii))
+    unit = [z for z in roots if z.imag != 0]
+    assert unit and all(radius_at[z.conjugate()] == radius_at[z]
+                        for z in unit)
+
+
 @pytest.mark.parametrize("n", [1, 3, 19, 30])
 def test_roots_in_fixed_order(n):
     roots = all_roots(_Q_coeffs(n), DEFAULT_PRECISION)
@@ -323,28 +335,122 @@ def test_pair_on_the_real_axis_polished_on_its_own(monkeypatch):
     assert all(abs(float(z.real) - w) < 1e-12 for z, w in zip(roots, want))
 
 
-def _mutant_all_roots(old, new):
-    source = inspect.getsource(asymptotics.all_roots)
-    mutant = source.replace(old, new)
-    assert mutant != source
+def _mutant_all_roots(old, new, where=asymptotics.all_roots):
+    """all_roots with `old` replaced by `new` in the source of `where`, one
+    of the functions it calls or all_roots itself."""
     scope = dict(vars(asymptotics))
-    exec(compile(mutant, asymptotics.__file__, "exec"), scope)
+    for function in {where, asymptotics.all_roots}:
+        source = inspect.getsource(function)
+        mutant = source.replace(old, new)
+        assert mutant != source or function is not where
+        exec(compile(mutant, asymptotics.__file__, "exec"), scope)
     return scope["all_roots"]
 
 
 def test_mirror_without_conjugation_rejected():
-    # a mutant that mirrors (x, y) to (x, y): each disk shows up twice
-    mutant = _mutant_all_roots("disks.append((x, -y, r))",
-                               "disks.append((x, y, r))")
+    # a mutant that mirrors the z-disks of a trace root w to themselves
+    # instead of to the disks of conj(w): each shows up twice
+    mutant = _mutant_all_roots("disks.append((zx, -zy, rho))",
+                               "disks.append((zx, zy, rho))")
     with pytest.raises(MultipleRoot, match="overlap"):
         mutant(_Q_coeffs(5), DEFAULT_PRECISION)
 
 
-def test_reciprocal_without_inversion_rejected():
-    # a mutant that takes the reciprocal of z as z: each disk shows up twice
-    mutant = _mutant_all_roots("cdiv(one, 0, x, y, P)", "(x, y)")
+def test_same_branch_for_z_and_its_reciprocal_rejected():
+    # a mutant that maps w to the same root of q^2 - wq + 1 twice: each
+    # disk is certified on its own, but shows up twice
+    mutant = _mutant_all_roots("for s in (1, -1):", "for s in (1, 1):",
+                               asymptotics._transfer)
     with pytest.raises(MultipleRoot, match="overlap"):
         mutant(_Q_coeffs(5), DEFAULT_PRECISION)
+
+
+@functools.lru_cache(maxsize=None)
+def _polyroots_768(n):
+    """The roots of Q_n by mpmath's own Durand-Kerner at 768 bits, three
+    times the largest precision below, started from its own roots at 64
+    bits."""
+    coeffs = list(reversed(_Q_coeffs(n)))
+    with workprec(64):
+        start = polyroots(coeffs, maxsteps=100, extraprec=16)
+    with workprec(768):
+        roots, error = polyroots(coeffs, maxsteps=50, extraprec=32,
+                                 error=True, roots_init=start)
+        assert error < mpf(2) ** -700
+    return roots
+
+
+@pytest.mark.parametrize("bits", [128, 256])
+@pytest.mark.parametrize("n", [1, 2, 12, 30])
+def test_every_root_in_exactly_one_disk(n, bits):
+    roots = all_roots(_Q_coeffs(n), bits)
+    with workprec(768):
+        disks = list(zip(map(to_mp, roots), map(to_mp, roots.radii)))
+        for w in _polyroots_768(n):
+            assert sum(fabs(w - z) <= r for z, r in disks) == 1
+
+
+def _monomial_trace(coeffs):
+    """S = a_d + sum a_(d+k) T_k in powers of w, ascending, in integers:
+    T_0 = 2, T_1 = w and T_k = w T_(k-1) - T_(k-2)."""
+    d = len(coeffs) // 2
+    s = [coeffs[d]] + [0] * d
+    older, t = [2], [0, 1]
+    for k in range(1, d + 1):
+        for i, a in enumerate(t):
+            s[i] += coeffs[d + k] * a
+        older, t = t, [a - b for a, b in itertools.zip_longest(
+            [0] + t, older, fillvalue=0)]
+    return s
+
+
+@pytest.mark.parametrize("coeffs", [
+    [1, 2, -1, 2, 1],
+    [1, 0, 3, -1, 3, 0, 1],
+    [1, 0, -7, 4, 11, 4, -7, 0, 1],
+    list(poly_Q(48).coeffs),
+])
+def test_clenshaw_fixed_within_its_bound(coeffs):
+    # S and S' in fixed point against mpmath on S in powers of w at four
+    # times the precision, at random w, at |w| near 2 (there R is near 1,
+    # and a bound from |w| alone near 2.414^d) and at |Im w| near 2
+    P = 192
+    d = len(coeffs) // 2
+    scaled = [c << P for c in reversed(coeffs[d:])]
+    mono = list(reversed(_monomial_trace(coeffs)))
+    rng = random.Random(31)
+    points = ([complex(rng.uniform(-2.5, 2.5), rng.uniform(-2.5, 2.5))
+               for _ in range(8)]
+              + [2 * complex(rng.choice((-1, 1)), rng.uniform(-1e-3, 1e-3))
+                 * (1 - rng.uniform(0, 1e-3)) for _ in range(6)]
+              + [complex(rng.uniform(-2, 2), rng.choice((-2, 2))
+                         + rng.uniform(-1e-2, 1e-2)) for _ in range(6)])
+    for k, w in enumerate(points):
+        x, y = (int(v * 2.0 ** 60) << (P - 60) for v in (w.real, w.imag))
+        x, y = x + rng.getrandbits(P - 60), y + rng.getrandbits(P - 60)
+        es, eds = asymptotics._clenshaw_error(d, x, y, P)
+        if 8 <= k < 14:
+            assert es < 2 ** 13
+        sr, si, dr, di = asymptotics._clenshaw_fixed(scaled, x, y, P)
+        with workprec(4 * P):
+            s, ds = polyval(mono, mpc(mpf(x), mpf(y)) / mpf(2) ** P,
+                            derivative=True)
+            unit = mpf(2) ** -P
+            assert fabs(mpc(sr, si) * unit - s) <= es * unit
+            assert fabs(mpc(dr, di) * unit - ds) <= eds * unit
+
+
+def test_trace_disk_meeting_two_rejected():
+    # at w = +-2 the roots z = 1/z = +-1 coincide, and no w-disk that holds
+    # +-2 separates them; a disk that stays clear of it gives two
+    P = DEFAULT_PRECISION + 64
+    for x, y, r in ((2 << P, 0, 1), (-(2 << P) + 5, 3, 10),
+                    ((2 << P) + (1 << P - 100), 0, 1 << P - 99)):
+        with pytest.raises(MultipleRoot, match="separate"):
+            asymptotics._transfer(x, y, r, P)
+    (x1, y1, r1), (x2, y2, r2) = asymptotics._transfer(
+        (2 << P) + (1 << P - 100), 0, 1 << P - 120, P)
+    assert y1 == y2 == 0 and (x1 - x2) ** 2 > (r1 + r2) ** 2
 
 
 def test_root_sets_closed_under_inversion():

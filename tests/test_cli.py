@@ -603,6 +603,18 @@ def test_asymptotics_json_inclusion_radius(capsys):
         for g in rep.gammas]
 
 
+def test_asymptotics_refuses_csv(capsys):
+    # the report is JSON only: --format csv, before or after the
+    # subcommand, exits 2 and names the command
+    for argv in (["asymptotics", "--n", "2", "--format", "csv"],
+                 ["--format", "csv", "asymptotics", "--n", "2"]):
+        code, out, err = run(capsys, *argv)
+        assert (code, out) == (2, "")
+        assert err.startswith("asymptotics: --format csv")
+    code, out, _ = run(capsys, "asymptotics", "--n", "2", "--format", "json")
+    assert (code, out) == (0, run(capsys, "asymptotics", "--n", "2")[1])
+
+
 def test_radius_formats(capsys):
     code, out, _ = run(capsys, "radius", "--n", "2")
     assert code == 0
