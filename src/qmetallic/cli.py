@@ -5,6 +5,10 @@ rna, logconv, quantize, hankel.  Global flags: --precision-bits,
 --format {json,csv}, --cache-dir, --jobs.  All outputs are decimal
 strings, so a rerun with equal parameters is byte-identical.
 
+Each subcommand declares the forms it prints, default first (`logconv`
+by mode).  `main` resolves --format once: unset, it is the command's
+first form; one the command lacks exits 2 before any work.
+
 Exit codes: 0 success / all checks pass; 1 a verification check failed;
 2 bad usage or an argument outside a documented constraint.
 """
@@ -30,8 +34,15 @@ from .rna import count_grid, enumerate_structures, sign_bridge_check
 from .series import poly_coeffs, to_json as series_to_json
 
 
-def _out(text: str) -> None:
-    sys.stdout.write(text if text.endswith("\n") else text + "\n")
+def _emit(args, doc=None, header: str = "", rows=()) -> None:
+    """Print `doc` as indented JSON, or the CSV `header` and `rows` (str of
+    each cell), in the form that `main` resolved."""
+    out = sys.stdout
+    if args.format == "json":
+        out.write(json.dumps(doc, indent=1) + "\n")
+    else:
+        out.write(header + "\n")
+        out.writelines(",".join(map(str, row)) + "\n" for row in rows)
 
 
 def _fail(message: str, code: int = 2) -> int:
@@ -78,8 +89,7 @@ def cmd_coeffs(args) -> int:
                      memoryview(items)[:len(items) - len(_ITEM_SEP)],
                      closing + b"\n}\n")
     else:
-        out.write("l,kappa\n")
-        out.writelines(f"{l},{c}\n" for l, c in enumerate(table.text))
+        _emit(args, header="l,kappa", rows=enumerate(table.text))
     return 0
 
 
@@ -179,14 +189,15 @@ def _verify_checks(n: int, L: int, cache_dir):
     yield "cache_integrity", not corrupt, {"corrupt": corrupt}
 
 
-def _print_identities(n: int, order: int, flag: str,
+def _print_identities(args, order: int, flag: str,
                       failure_prefix: str) -> int:
-    """Print check_all(n, order); `flag` names the option that set order."""
+    """Print check_all(args.n, order); `flag` names order's option."""
+    n = args.n
     if order < min_order(n):
         raise ValueError(f"need {flag} >= 2n + 3 = {min_order(n)} "
                          f"for n = {n}, got {order}")
     reports = check_all(n, order)
-    _out(json.dumps([r.to_json() for r in reports], indent=1))
+    _emit(args, [r.to_json() for r in reports])
     bad = next((r for r in reports if not r.holds), None)
     return 0 if bad is None else _fail(failure_prefix + bad.identity_id, 1)
 
@@ -195,7 +206,7 @@ def cmd_verify(args) -> int:
     if args.what == "identities":
         flag = "--L" if args.order is None else "--order"
         order = args.L if args.order is None else args.order
-        return _print_identities(args.n, order, flag,
+        return _print_identities(args, order, flag,
                                  "verify: first failing check: identity ")
 
     if args.golden:
@@ -213,7 +224,7 @@ def cmd_verify(args) -> int:
         checks.append({"name": name, "ok": ok, "detail": detail})
     summary = {"n": args.n, "L": args.L, "ok": all(c["ok"] for c in checks),
                "checks": checks}
-    _out(json.dumps(summary, indent=1))
+    _emit(args, summary)
     if not summary["ok"]:
         first = next(c["name"] for c in checks if not c["ok"])
         return _fail(f"verify: first failing check: {first}", 1)
@@ -229,8 +240,7 @@ def _verify_golden(args) -> int:
     from .goldencheck import golden_failures
 
     failures = golden_failures(_goldens_dir(), args.precision_bits)
-    _out(json.dumps({"golden_ok": not failures, "failures": failures},
-                    indent=1))
+    _emit(args, {"golden_ok": not failures, "failures": failures})
     if failures:
         return _fail(f"verify: first failing check: {failures[0]}", 1)
     return 0
@@ -251,7 +261,7 @@ def cmd_tables(args) -> int:
                         "precision_bits": args.precision_bits})
         manifest.add_output(path)
         manifest.write(path)
-        _out(path)
+        print(path)
     return 0
 
 
@@ -260,9 +270,6 @@ def _complex_str(z, digits: int = 30) -> dict:
 
 
 def cmd_asymptotics(args) -> int:
-    if args.format != "json":
-        return _fail(f"asymptotics: --format {args.format} is not supported "
-                     "(the report is JSON only)")
     rep = asym.singularity_report(args.n, args.precision_bits)
     doc = {
         "n": rep.n,
@@ -274,42 +281,31 @@ def cmd_asymptotics(args) -> int:
         "branch_flipped": rep.branch_flipped,
         "roots": [_complex_str(z) for z in rep.all_roots],
     }
-    _out(json.dumps(doc, indent=1))
+    _emit(args, doc)
     return 0
 
 
 def cmd_radius(args) -> int:
-    r = asym.radius(args.n, args.precision_bits)
-    if args.format == "csv":
-        _out(f"n,radius\n{args.n},{nstr(r, 20)}")
-    else:
-        _out(json.dumps({"n": args.n,
-                         "precision_bits": args.precision_bits,
-                         "radius": nstr(r, 20)}, indent=1))
+    r = nstr(asym.radius(args.n, args.precision_bits), 20)
+    _emit(args, {"n": args.n, "precision_bits": args.precision_bits,
+                 "radius": r}, "n,radius", [(args.n, r)])
     return 0
 
 
 def cmd_identities(args) -> int:
-    return _print_identities(args.n, args.order, "--order",
+    return _print_identities(args, args.order, "--order",
                              "identities: failed: ")
 
 
 def cmd_rna(args) -> int:
     if args.action == "count":
-        c = enumerate_structures(args.size, args.rank)
-        if args.format == "csv":
-            _out(f"l,rank,count\n{args.size},{args.rank},{c}")
-        else:
-            _out(json.dumps({"l": args.size, "rank": args.rank,
-                             "count": str(c)}, indent=1))
-        return 0
-    # grid
-    rows = count_grid(args.max_size, args.max_rank)
-    if args.format == "json":
-        _out(json.dumps([{"l": l, "rank": r, "count": str(c)}
-                         for l, r, c in rows], indent=1))
+        rows = [(args.size, args.rank,
+                 enumerate_structures(args.size, args.rank))]
     else:
-        _out("l,rank,count\n" + "\n".join(f"{l},{r},{c}" for l, r, c in rows))
+        rows = count_grid(args.max_size, args.max_rank)
+    docs = [{"l": l, "rank": r, "count": str(c)} for l, r, c in rows]
+    _emit(args, docs[0] if args.action == "count" else docs,
+          "l,rank,count", rows)
     return 0
 
 
@@ -330,7 +326,7 @@ def _check_lmax(n: int, lmax: int) -> None:
 
 
 def cmd_logconv(args) -> int:
-    if args.n_range:
+    if args.n_range is not None:
         try:
             lo, hi = (int(t) for t in args.n_range.split("..", 1))
         except ValueError:
@@ -347,14 +343,11 @@ def cmd_logconv(args) -> int:
                 rows = list(pool.map(_classify_row, tasks))
         else:
             rows = [_classify_row(t) for t in tasks]
-        _out("n,l_max,classification,onset,first_positive,first_negative\n"
-             + "\n".join(",".join(str(c) for c in row) for row in rows))
+        _emit(args, header="n,l_max,classification,onset,first_positive,"
+                           "first_negative", rows=rows)
         return 0
-    if args.n is None:
-        return _fail("logconv: need --n or --n-range")
     _check_lmax(args.n, args.lmax)
-    rep = classify(args.n, args.lmax)
-    _out(json.dumps(rep.to_json(), indent=1))
+    _emit(args, classify(args.n, args.lmax).to_json())
     return 0
 
 
@@ -382,23 +375,19 @@ def cmd_quantize(args) -> int:
         doc["R"] = poly_coeffs(qr.numerator)
         doc["S"] = poly_coeffs(qr.denominator)
         doc["series"] = series_to_json(qr.to_series(12))
-    _out(json.dumps(doc, indent=1))
+    _emit(args, doc)
     return 0
 
 
 def cmd_hankel(args) -> int:
-    header = "j," + ",".join(f"s{s}" for s in range(0, args.max_s + 1))
-    lines = [header]
-    for j in range(1, args.max_j + 1):
-        row = [str(j)] + [str(hankel(args.n, s, j))
-                          for s in range(0, args.max_s + 1)]
-        lines.append(",".join(row))
-    _out("\n".join(lines))
+    s_range = range(0, args.max_s + 1)
+    rows = [[j] + [hankel(args.n, s, j) for s in s_range]
+            for j in range(1, args.max_j + 1)]
+    _emit(args, header="j," + ",".join(f"s{s}" for s in s_range), rows=rows)
     return 0
 
 
-GLOBAL_DEFAULTS = {"precision_bits": 256, "format": "json",
-                   "cache_dir": None, "jobs": 1}
+GLOBAL_DEFAULTS = {"precision_bits": 256, "cache_dir": None, "jobs": 1}
 
 
 def _int_at_least(low: int):
@@ -426,7 +415,9 @@ def build_parser() -> argparse.ArgumentParser:
                         default=argparse.SUPPRESS,
                         help="working precision for root finding (default 256)")
     common.add_argument("--format", choices=("json", "csv"),
-                        default=argparse.SUPPRESS)
+                        default=argparse.SUPPRESS,
+                        help="output form (default the command's first; "
+                             "one the command does not print exits 2)")
     common.add_argument("--cache-dir", default=argparse.SUPPRESS,
                         help="coefficient cache directory "
                              "(default $QMETALLIC_CACHE_DIR or "
@@ -443,17 +434,20 @@ def build_parser() -> argparse.ArgumentParser:
                     "combinatorial cross-checks.")
     sub = top.add_subparsers(dest="command", required=True)
 
-    def add(name, **kw):
-        return sub.add_parser(name, parents=[common], **kw)
+    def add(name, func, forms, **kw):
+        # forms: a tuple, default first, or a function of the parsed args
+        p = sub.add_parser(name, parents=[common], **kw)
+        p.set_defaults(func=func, forms=forms)
+        return p
 
-    p = add("coeffs", help="emit a coefficient table")
+    p = add("coeffs", cmd_coeffs, ("json", "csv"),
+            help="emit a coefficient table")
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--L", type=_nonnegative, default=50)
     p.add_argument("--engine", choices=("conv", "prec", "sqrt", "closed"),
                    default="prec")
-    p.set_defaults(func=cmd_coeffs)
 
-    p = add("verify", help="run the verification suite")
+    p = add("verify", cmd_verify, ("json",), help="run the verification suite")
     p.add_argument("what", nargs="?", choices=("all", "identities"),
                    default="all")
     p.add_argument("--n", type=int, default=1)
@@ -462,29 +456,28 @@ def build_parser() -> argparse.ArgumentParser:
                    help="order for 'verify identities' (defaults to --L)")
     p.add_argument("--golden", action="store_true",
                    help="compare against the shipped golden fixtures")
-    p.set_defaults(func=cmd_verify)
 
-    p = add("tables", help="regenerate the three ratio tables")
+    p = add("tables", cmd_tables, ("csv",),
+            help="regenerate the three ratio tables")
     p.add_argument("which", nargs="?",
                    choices=("table1", "table2", "table3", "all"),
                    default="all")
     p.add_argument("--out-dir", default=".")
-    p.set_defaults(func=cmd_tables)
 
-    p = add("asymptotics", help="dominant singularity report")
+    p = add("asymptotics", cmd_asymptotics, ("json",),
+            help="dominant singularity report")
     p.add_argument("--n", type=int, required=True)
-    p.set_defaults(func=cmd_asymptotics)
 
-    p = add("radius", help="convergence radius of the series")
+    p = add("radius", cmd_radius, ("json", "csv"),
+            help="convergence radius of the series")
     p.add_argument("--n", type=int, required=True)
-    p.set_defaults(func=cmd_radius)
 
-    p = add("identities", help="run the identity suite")
+    p = add("identities", cmd_identities, ("json",),
+            help="run the identity suite")
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--order", type=_nonnegative, default=300)
-    p.set_defaults(func=cmd_identities)
 
-    p = add("rna", help="secondary-structure counts")
+    p = add("rna", cmd_rna, ("json", "csv"), help="secondary-structure counts")
     act = p.add_subparsers(dest="action", required=True)
     c = act.add_parser("count", parents=[common], help="one exact count")
     c.add_argument("--size", type=_nonnegative, required=True)
@@ -492,24 +485,25 @@ def build_parser() -> argparse.ArgumentParser:
     g = act.add_parser("grid", parents=[common], help="(l, rank, count) grid")
     g.add_argument("--max-size", type=_nonnegative, default=22)
     g.add_argument("--max-rank", type=_nonnegative, default=3)
-    p.set_defaults(func=cmd_rna)
 
-    p = add("logconv", help="log-convexity classification")
-    p.add_argument("--n", type=int, default=None)
-    p.add_argument("--n-range", default=None, metavar="A..B")
+    p = add("logconv", cmd_logconv,
+            lambda a: ("json",) if a.n_range is None else ("csv",),
+            help="log-convexity classification")
+    mode = p.add_mutually_exclusive_group(required=True)
+    mode.add_argument("--n", type=int, help="one index (JSON)")
+    mode.add_argument("--n-range", metavar="A..B", help="A to B (CSV)")
     p.add_argument("--lmax", type=_nonnegative, default=2000)
-    p.set_defaults(func=cmd_logconv)
 
-    p = add("quantize", help="quadratic form of a deformed CF")
+    p = add("quantize", cmd_quantize, ("json",),
+            help="quadratic form of a deformed CF")
     p.add_argument("--cf", required=True,
                    help="continued fraction 'a0;a1,...,(p1,...)*'")
-    p.set_defaults(func=cmd_quantize)
 
-    p = add("hankel", help="Hankel determinant grid (CSV)")
+    p = add("hankel", cmd_hankel, ("csv",),
+            help="Hankel determinant grid (CSV)")
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--max-s", type=_nonnegative, default=3)
     p.add_argument("--max-j", type=_nonnegative, default=10)
-    p.set_defaults(func=cmd_hankel)
 
     return top
 
@@ -521,6 +515,11 @@ def main(argv=None) -> int:
             setattr(args, key, value)
     if args.precision_bits < 128:
         return _fail("precision-bits must be >= 128")
+    forms = args.forms(args) if callable(args.forms) else args.forms
+    args.format = getattr(args, "format", forms[0])
+    if args.format not in forms:
+        return _fail(f"{args.command}: --format {args.format} is not "
+                     f"supported (this output is {' or '.join(forms)} only)")
     # every integer printed or cached is computed here, so the int/str
     # digit limit would only cap how many coefficients a command can give
     saved = getattr(sys, "get_int_max_str_digits", lambda: None)()

@@ -1,9 +1,9 @@
 """Unit tests for root finding and coefficient asymptotics."""
 
 import functools
-import inspect
 import itertools
 import random
+from pathlib import Path
 
 import pytest
 from mpmath import (fabs, mp, mpc, mpf, nstr, polyroots, polyval, power, sqrt,
@@ -335,15 +335,17 @@ def test_pair_on_the_real_axis_polished_on_its_own(monkeypatch):
     assert all(abs(float(z.real) - w) < 1e-12 for z, w in zip(roots, want))
 
 
-def _mutant_all_roots(old, new, where=asymptotics.all_roots):
-    """all_roots with `old` replaced by `new` in the source of `where`, one
-    of the functions it calls or all_roots itself."""
-    scope = dict(vars(asymptotics))
-    for function in {where, asymptotics.all_roots}:
-        source = inspect.getsource(function)
-        mutant = source.replace(old, new)
-        assert mutant != source or function is not where
-        exec(compile(mutant, asymptotics.__file__, "exec"), scope)
+_ASYMPTOTICS_TEXT = Path(asymptotics.__file__).read_text()
+
+
+def _mutant_all_roots(old, new):
+    """all_roots of a copy of the asymptotics module whose text has `old`,
+    which occurs in it exactly once, replaced by `new`."""
+    assert _ASYMPTOTICS_TEXT.count(old) == 1
+    scope = {"__name__": "qmetallic.asymptotics_mutant",
+             "__package__": "qmetallic"}
+    exec(compile(_ASYMPTOTICS_TEXT.replace(old, new), asymptotics.__file__,
+                 "exec"), scope)
     return scope["all_roots"]
 
 
@@ -359,8 +361,7 @@ def test_mirror_without_conjugation_rejected():
 def test_same_branch_for_z_and_its_reciprocal_rejected():
     # a mutant that maps w to the same root of q^2 - wq + 1 twice: each
     # disk is certified on its own, but shows up twice
-    mutant = _mutant_all_roots("for s in (1, -1):", "for s in (1, 1):",
-                               asymptotics._transfer)
+    mutant = _mutant_all_roots("for s in (1, -1):", "for s in (1, 1):")
     with pytest.raises(MultipleRoot, match="overlap"):
         mutant(_Q_coeffs(5), DEFAULT_PRECISION)
 
@@ -388,6 +389,37 @@ def test_every_root_in_exactly_one_disk(n, bits):
         disks = list(zip(map(to_mp, roots), map(to_mp, roots.radii)))
         for w in _polyroots_768(n):
             assert sum(fabs(w - z) <= r for z, r in disks) == 1
+
+
+# 10^12 q^2 - (2 10^12 + 1) q + 10^12: the trace root w = 2 + 10^-12 sits
+# so near 2 that the roots 1 +- about 10^-6 of q^2 - wq + 1 move some
+# 5 10^5 times as far as w does
+_NEAR_TWO = [10 ** 12, -(2 * 10 ** 12 + 1), 10 ** 12]
+
+
+def _one_root_per_disk_near_two(roots):
+    """Whether each of the two roots of _NEAR_TWO lies in exactly one of
+    the disks of `roots`."""
+    with workprec(768):
+        a, b, _ = map(mpf, _NEAR_TWO)
+        half = sqrt(b * b - 4 * a * a) / (2 * a)
+        disks = list(zip(map(to_mp, roots), map(to_mp, roots.radii)))
+        return all(sum(fabs(w - z) <= r for z, r in disks) == 1
+                   for w in (-b / (2 * a) + half, -b / (2 * a) - half))
+
+
+@pytest.mark.parametrize("bits", [128, 256])
+def test_disks_of_a_trace_root_near_two(bits):
+    assert _one_root_per_disk_near_two(all_roots(_NEAR_TWO, bits))
+
+
+@pytest.mark.parametrize("bits", [128, 256])
+def test_w_radius_taken_as_z_radius_misses_the_roots(bits):
+    # a mutant that gives each z-disk the radius of its w-disk, skipping
+    # the transfer through q^2 - wq + 1
+    mutant = _mutant_all_roots("out.append((zx, zy, rho))",
+                               "out.append((zx, zy, r))")
+    assert not _one_root_per_disk_near_two(mutant(_NEAR_TWO, bits))
 
 
 def _monomial_trace(coeffs):

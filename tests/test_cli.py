@@ -182,6 +182,67 @@ def test_unknown_subcommand_exits_2(capsys):
     assert exc.value.code == 2
 
 
+# -- output forms -------------------------------------------------------------------
+
+# every subcommand and mode with the forms it prints, its default first
+FORMS = [
+    (["coeffs", "--n", "1", "--L", "5"], ("json", "csv")),
+    (["verify", "--n", "1", "--L", "60"], ("json",)),
+    (["verify", "identities", "--n", "1", "--order", "20"], ("json",)),
+    (["verify", "--golden"], ("json",)),
+    (["tables", "table1"], ("csv",)),
+    (["asymptotics", "--n", "1"], ("json",)),
+    (["radius", "--n", "1"], ("json", "csv")),
+    (["identities", "--n", "1", "--order", "20"], ("json",)),
+    (["rna", "count", "--size", "6"], ("json", "csv")),
+    (["rna", "grid", "--max-size", "5", "--max-rank", "1"], ("json", "csv")),
+    (["logconv", "--n", "1", "--lmax", "40"], ("json",)),
+    (["logconv", "--n-range", "1..2", "--lmax", "40"], ("csv",)),
+    (["quantize", "--cf", "1;(1)*"], ("json",)),
+    (["hankel", "--n", "1", "--max-s", "1", "--max-j", "2"], ("csv",)),
+]
+
+
+@pytest.mark.parametrize("fmt", ["json", "csv"])
+@pytest.mark.parametrize("argv, forms", FORMS,
+                         ids=[" ".join(argv) for argv, _ in FORMS])
+def test_format_prints_a_declared_form_or_exits_2(capsys, tmp_path, argv,
+                                                  forms, fmt):
+    d = str(tmp_path)
+    argv = argv + (["--out-dir", d] if argv[0] == "tables"
+                   else ["--cache-dir", d])
+    if fmt not in forms:
+        # refused before any work, with the flag before or after the command
+        for flags in (argv + ["--format", fmt], ["--format", fmt] + argv):
+            code, out, err = run(capsys, *flags)
+            assert (code, out) == (2, "")
+            assert err.startswith(f"{argv[0]}: --format {fmt} is not "
+                                  "supported")
+            assert os.listdir(d) == []
+        return
+    code, out, err = run(capsys, *argv, "--format", fmt)
+    assert code == 0, err
+    if fmt == "json":
+        json.loads(out)
+    elif argv[0] == "tables":  # the CSV goes to a file, its path to stdout
+        assert out == os.path.join(d, "table1.csv") + "\n"
+    else:  # a header and rows, one field count
+        lines = out.splitlines()
+        assert len(lines) > 1 and len({l.count(",") for l in lines}) == 1
+    if fmt == forms[0]:
+        assert run(capsys, *argv)[:2] == (0, out)
+
+
+@pytest.mark.parametrize("argv", [["logconv", "--lmax", "40"],
+                                  ["logconv", "--n", "1", "--n-range", "1..2",
+                                   "--lmax", "40"]])
+def test_logconv_takes_exactly_one_mode(capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    assert capsys.readouterr().out == ""
+
+
 # -- verify -------------------------------------------------------------------------
 
 

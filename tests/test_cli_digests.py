@@ -7,6 +7,9 @@ carry timestamps.  When an output change is intended, regenerate the file
 and say so in the change log:
 
     PYTHONPATH=src python3 tests/test_cli_digests.py
+
+which prints each entry whose exit code or digest changed, to be named
+there.
 """
 
 import contextlib
@@ -91,11 +94,19 @@ def test_cli_output_unchanged(argv, tmp_path):
 
 
 if __name__ == "__main__":
+    before = ({tuple(e["argv"]): e for e in json.loads(DIGESTS.read_text())}
+              if DIGESTS.exists() else {})
     entries = []
     for argv in COMMANDS:
         with tempfile.TemporaryDirectory() as d:
             code, digest = replay(argv, d)
-        entries.append({"argv": argv, "exit": code, "stdout_sha256": digest})
+        entry = {"argv": argv, "exit": code, "stdout_sha256": digest}
+        old = before.get(tuple(argv))
+        if old != entry:
+            was = ("new" if old is None
+                   else f"{old['exit']} {old['stdout_sha256']}")
+            sys.stdout.write(f"{' '.join(argv)}: {was} -> {code} {digest}\n")
+        entries.append(entry)
     DIGESTS.write_text("[\n" + ",\n".join(json.dumps(e) for e in entries)
                        + "\n]\n")
     sys.stdout.write(f"wrote {len(entries)} digests to {DIGESTS}\n")
