@@ -15,6 +15,7 @@ Exit codes: 0 success / all checks pass; 1 a verification check failed;
 
 import argparse
 import codecs
+import functools
 import json
 import os
 import sys
@@ -23,8 +24,8 @@ from . import asymptotics as asym
 from .cache import RunManifest, atomic_write, cache_refresh, cached_table
 from .dyadic import nstr
 from .errors import NotMonomialDenominator, QMetallicError
-from .identities import (_relation_sides, check_all, conjugate_onset,
-                         conjugate_pair_check, min_order)
+from .identities import (check_all, conjugate_onset, conjugate_pair_check,
+                         min_order, relation_sides)
 from .logbehaviour import classify, sign_flip_lemma_check
 from .metallic import (_zero_check, canonical_engine_tag, coeffs_p_recurrence,
                        hankel, table_engine, verify_ode)
@@ -98,9 +99,8 @@ def _window(result, *keys) -> tuple:
     return bool(result), {k: getattr(result, k) for k in keys}
 
 
-def _identities_line(n: int, L: int, agreed: int) -> tuple:
-    bad_ids = [r.identity_id for r in check_all(n, L, agreed)
-               if not r.holds]
+def _identities_line(n: int, L: int, sides) -> tuple:
+    bad_ids = [r.identity_id for r in check_all(n, L, sides) if not r.holds]
     return not bad_ids, {"failed": bad_ids}
 
 
@@ -146,17 +146,18 @@ def _verify_checks(n: int, L: int, cache_dir):
 
     # conv runs next.  Below the first exponent where its table leaves the
     # reference, E = q F^2 - R F - 1 is zero past its n + 1 head terms, as
-    # conv chose each kappa so; the identity suite computes E only at the
-    # head and from that exponent to q^(L+2n+2), and the functional
-    # equation's line reads the suite's E through q^(L-1)
+    # conv chose each kappa so; the identity suite's sides are built once,
+    # by the first line that reads them, with E computed only at the head
+    # and from that exponent to q^(L+2n+2), and the functional equation's
+    # line reads that E through q^(L-1).  A build that raises is not kept:
+    # the identities line tries it again and fails with the same error.
     conv = run("conv")
     agreed = 0 if conv[0] is None else next(
         (l for l, (a, b) in enumerate(zip(conv[0].values, reference.values))
          if a != b), L)
-    identities_line = _guarded("identities",
-                               lambda: _identities_line(n, L, agreed))
+    sides = functools.cache(lambda: relation_sides(n, L, agreed))
     yield _guarded("functional_equation", lambda: _window(_zero_check(
-        _relation_sides(n, L, agreed)[1], L, "functional-equation"),
+        sides()[1], L, "functional-equation"),
         "checked_order", "first_failure"))
     yield _guarded("ode", lambda: _window(
         verify_ode(n, L), "checked_order", "first_failure"))
@@ -178,7 +179,7 @@ def _verify_checks(n: int, L: int, cache_dir):
     corrupt = cache_refresh(n, confirmed, L, cache_dir)
     yield "engine_agreement", agreement["bad"] is None, agreement
 
-    yield identities_line
+    yield _guarded("identities", lambda: _identities_line(n, L, sides()))
     yield _guarded("hankel_range", lambda: _hankel_line(n))
     if n == 1:
         yield _guarded("sign_bridge", lambda: _window(
@@ -203,14 +204,20 @@ def _print_identities(args, order: int, flag: str,
 
 
 def cmd_verify(args) -> int:
+    # an option that the mode would not read exits 2 before any work
+    if args.golden:
+        if (args.what, args.n, args.L, args.order) != (None,) * 4:
+            raise ValueError("--golden takes no mode, --n, --L or --order")
+        return _verify_golden(args)
+    if args.order is not None and args.what != "identities":
+        raise ValueError("--order is read only by 'verify identities'")
+    args.n = 1 if args.n is None else args.n
+    args.L = 300 if args.L is None else args.L
     if args.what == "identities":
         flag = "--L" if args.order is None else "--order"
         order = args.L if args.order is None else args.order
         return _print_identities(args, order, flag,
                                  "verify: first failing check: identity ")
-
-    if args.golden:
-        return _verify_golden(args)
 
     # checked before any work: the ODE needs 2n + 4, the n = 1 sign checks 10
     floor = 10 if args.n == 1 else 2 * args.n + 4
@@ -449,10 +456,10 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = add("verify", cmd_verify, ("json",), help="run the verification suite")
     p.add_argument("what", nargs="?", choices=("all", "identities"),
-                   default="all")
-    p.add_argument("--n", type=int, default=1)
-    p.add_argument("--L", type=_nonnegative, default=300)
-    p.add_argument("--order", type=_nonnegative, default=None,
+                   help="(default all)")
+    p.add_argument("--n", type=int, help="(default 1)")
+    p.add_argument("--L", type=_nonnegative, help="(default 300)")
+    p.add_argument("--order", type=_nonnegative,
                    help="order for 'verify identities' (defaults to --L)")
     p.add_argument("--golden", action="store_true",
                    help="compare against the shipped golden fixtures")

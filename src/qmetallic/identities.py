@@ -10,9 +10,12 @@ a Laurent polynomial below q^(2n+2) built from the 2n+2-term prefix.  The
 sides are built independently and never divided out: N_l/D_l and N_r/D_r
 agree through q^(hi-1) exactly when G = N_l D_r - N_r D_l = A F^2 + B F + C
 vanishes through q^(hi-1+val(D_l)+val(D_r)), read off the one residual
-E = q F^2 - R F - 1 as q G = A E + (A R + q B) F + (A + q C).  Every
-series tag rejects an order below min_order(n) before any work.  Reports
-carry the identity tag, the compared window, and the first mismatch.
+E = q F^2 - R F - 1 as q G = A E + (A R + q B) F + (A + q C).  F, E and
+the maps are one relation_sides build, kept nowhere: check_all hands its
+build to every tag, verify passes one, and a lone check builds its own.
+Every series tag rejects an order below min_order(n) before any work.
+Reports carry the identity tag, the compared window, and the first
+mismatch.
 """
 
 from __future__ import annotations
@@ -143,24 +146,21 @@ def _den_valuation(identity_id: str, c: LaurentSeries, d: LaurentSeries,
     return den.valuation
 
 
-_sides_memo: dict = {}
-
-
-def _relation_sides(n: int, L: int, agreed: int = 0) -> tuple:
-    """(F, E = q F^2 - R F - 1, sides): each series tag's (lhs, rhs), maps
-    ((a, b), (c, d)) at F; only F and E are long, and verify reads E too.
+def relation_sides(n: int, L: int, agreed: int = 0) -> tuple:
+    """(F, E, maps) for the relations at index n to order L, from the kappa
+    store and qnum's matrices as they are now: F to q^(L+2n+2), E = q F^2 -
+    R F - 1, and each series tag's (lhs, rhs), maps ((a, b), (c, d)) at F.
     `agreed` is metallic.residual's bound: F agrees with the conv engine's
-    table below it, so E is computed only at its n + 1 head terms and from
-    the bound on.  E is the same for every true bound, so one build per
-    (n, L) is kept, whatever bound later calls give."""
-    key = (n, L)
-    if key in _sides_memo:
-        return _sides_memo[key]
+    table below it (0 claims none)."""
+    n = _check_n(n)
+    if L < min_order(n):
+        raise ValueError(f"need L >= 2n + 3 = {min_order(n)} for n = {n}, "
+                         f"got {L}")
     # neg reads F the furthest: q G through q^(L+n) from A E, val(A) = -n
     phi = phi_series(n, L + 2 * n + 2)
     fam = laurent_family(n, 2 * n + 2)
     edge = _edge(n).shift(-1)  # (q^n + 1)(q - 1)/q
-    sides = {
+    maps = {
         "rel1": (_IDENTITY, _matmul(shift_map(n), RECIPROCAL)),
         "rel2": (NEG_RECIPROCAL, _matmul(shift_map(n), NEGATE)),
         "rel3": (NEG_RECIPROCAL,
@@ -176,24 +176,18 @@ def _relation_sides(n: int, L: int, agreed: int = 0) -> tuple:
                     _explicit(monomial(1, 1), _inverse_formula(n, 2 * n + 2),
                               fam.phi)),
     }
-    _sides_memo.clear()
-    _sides_memo[key] = phi, residual(n, phi, agreed), sides
-    return _sides_memo[key]
+    return phi, residual(n, phi, agreed), maps
 
 
-_relation_sides.cache_clear = _sides_memo.clear
-
-
-def _check_relation(n: int, identity_id: str, L: int) -> IdentityReport:
+def _check_relation(n: int, identity_id: str, L: int, sides) -> IdentityReport:
     """lhs = N_l/D_l against rhs = N_r/D_r through q^(hi-1), by the first
     nonzero exponent of G = N_l D_r - N_r D_l = A F^2 + B F + C, less
     val(D_l) + val(D_r).  On a correct table E, A R + q B and A + q C are
     all zero, so a passing relation builds no long series.
     hi is L capped by series_div's rule N.order - val(D) for each side and
     by how far q G is known."""
-    _require_min_order(n, L)
-    F, E, sides = _relation_sides(n, L)
-    ((a, b), (c, d)), ((e, f), (g, h)) = sides[identity_id]
+    F, E, maps = relation_sides(n, L) if sides is None else sides
+    ((a, b), (c, d)), ((e, f), (g, h)) = maps[identity_id]
     v_l = _den_valuation(identity_id, c, d, F)
     v_r = _den_valuation(identity_id, g, h, F)
     v = v_l + v_r
@@ -208,16 +202,18 @@ def _check_relation(n: int, identity_id: str, L: int) -> IdentityReport:
                           None if fm is None else fm - 1 - v)
 
 
-def check_rel(n: int, identity_id: str, L: int = 300) -> IdentityReport:
-    """Verify one tagged identity to order L (reflection tags are exact)."""
+def check_rel(n: int, identity_id: str, L: int = 300,
+              sides=None) -> IdentityReport:
+    """Verify one tagged identity to order L (reflection tags are exact),
+    a series tag from `sides`, relation_sides(n, L), or a build of its own."""
     n = _check_n(n)
     if identity_id not in IDENTITY_IDS:
         raise ValueError(f"unknown identity tag {identity_id!r}")
     if identity_id in ("reflectR", "reflectP"):
         return _reflection_single(n, identity_id)
     if identity_id == "multinv":
-        return mult_inverse_check(n, L)
-    return _check_relation(n, identity_id, L)
+        return mult_inverse_check(n, L, sides)
+    return _check_relation(n, identity_id, L, sides)
 
 
 def min_order(n: int) -> int:
@@ -225,26 +221,17 @@ def min_order(n: int) -> int:
     return 2 * _check_n(n) + 3
 
 
-def _require_min_order(n: int, L: int) -> None:
-    if L < min_order(n):
-        raise ValueError(f"need L >= 2n + 3 = {min_order(n)} for n = {n}, "
-                         f"got {L}")
+def check_all(n: int, L: int = 300, sides=None) -> list:
+    """One report per tag of IDENTITY_IDS, in that order, all from one
+    build (`sides`, or a fresh one), so no two read different stores."""
+    if sides is None:
+        sides = relation_sides(n, L)
+    return [check_rel(n, tag, L, sides) for tag in IDENTITY_IDS]
 
 
-def check_all(n: int, L: int = 300, agreed: int = 0) -> list:
-    """One report per tag of IDENTITY_IDS, in that order, from one fresh
-    build of the sides, so no report reads another state of the store.
-    `agreed` is the bound below which the store agrees with the conv
-    engine's table (see metallic.residual); 0 claims none."""
-    _require_min_order(n, L)
-    _relation_sides.cache_clear()
-    _relation_sides(_check_n(n), L, agreed)
-    return [check_rel(n, tag, L) for tag in IDENTITY_IDS]
-
-
-def mult_inverse_check(n: int, L: int = 300) -> IdentityReport:
+def mult_inverse_check(n: int, L: int = 300, sides=None) -> IdentityReport:
     """Multiplicative inverse against the explicit Laurent pattern."""
-    return _check_relation(_check_n(n), "multinv", L)
+    return _check_relation(_check_n(n), "multinv", L, sides)
 
 
 def _reflection_single(n: int, identity_id: str) -> IdentityReport:

@@ -220,19 +220,24 @@ def recurrence_spec(n: int) -> RecurrenceSpec:
                           coeff_polys=pairs)
 
 
+def _residual_term(x: list, rc: list, l: int) -> int:
+    """E_l = [q^(l-1)] x^2 - [q^l] R x - [l = 0] of E = q x^2 - R x - 1,
+    rc the coefficients of R: it reads only x_0..x_l."""
+    acc = _square_sum(x, l - 1) - (l == 0)
+    for j in range(min(l, len(rc) - 1) + 1):
+        acc -= rc[j] * x[l - j]
+    return acc
+
+
 def _conv_values(n: int, L: int) -> list:
-    """Coefficients 0..L-1 from the quadratic equation, each from the
-    coefficient [q^(l-1)] F^2 of the ones before it (series._square_sum)."""
-    rc = poly_coeffs(poly_R(n))  # rc[0] == -1
-    seeds = [1] * n + [0]
-    vals = seeds[:L]
+    """Coefficients 0..L-1 from the quadratic equation.  E_l reads kappa_l
+    only as R_0 kappa_l = -kappa_l, so kappa_l is minus the E_l of the
+    table with kappa_l = 0, whose F^2 term reads the ones before it."""
+    rc = poly_coeffs(poly_R(n))
+    vals = ([1] * n + [0])[:L]
     for l in range(len(vals), L):
-        acc = -_square_sum(vals, l - 1)
-        for j in range(1, min(l, len(rc) - 1) + 1):
-            cj = rc[j]
-            if cj:
-                acc += cj * vals[l - j]
-        vals.append(acc)
+        vals.append(0)
+        vals[l] = -_residual_term(vals, rc, l)
     return vals
 
 
@@ -460,14 +465,12 @@ def _zero_check(s: LaurentSeries, upto: int, label: str) -> CheckResult:
 
 def residual(n: int, f: LaurentSeries, agreed: int = 0) -> LaurentSeries:
     """E = q f^2 - R f - 1 modulo q^(f.order) for a power series f: zero,
-    as far as f is known, when f is F.  Built one coefficient at a time,
-
-        E_l = [q^(l-1)] f^2 - [q^l] R f - [l = 0],
-
-    which reads only f_0..f_l.  `agreed` is a bound below which f is the
-    conv engine's table: _conv_values chooses each kappa_l, l >= n + 1, so
-    that E_l = 0, so E_l for n + 1 <= l < agreed is zero and not computed.
-    With no such bound (0), every coefficient is computed."""
+    as far as f is known, when f is F.  Built one coefficient at a time by
+    _residual_term, the one that _conv_values solves.  `agreed` is a bound
+    below which f is the conv engine's table: _conv_values chooses each
+    kappa_l, l >= n + 1, so that E_l = 0, so E_l for n + 1 <= l < agreed
+    is zero and not computed.  With no such bound (0), every coefficient
+    is computed."""
     n = _check_n(n)
     if f.valuation < 0 or f.order == math.inf:
         raise ValueError("residual needs a truncated power series")
@@ -476,10 +479,7 @@ def residual(n: int, f: LaurentSeries, agreed: int = 0) -> LaurentSeries:
     rc = poly_coeffs(poly_R(n))
     e = [0] * N
     for l in (*range(min(n + 1, N)), *range(max(n + 1, agreed), N)):
-        acc = _square_sum(x, l - 1) - (l == 0)
-        for j in range(min(l, len(rc) - 1) + 1):
-            acc -= rc[j] * x[l - j]
-        e[l] = acc
+        e[l] = _residual_term(x, rc, l)
     return LaurentSeries(0, e, N)
 
 

@@ -340,6 +340,30 @@ def test_verify_order_floor_is_reachable(capsys, tmp_path, n, L):
     assert code == 0 and json.loads(out)["ok"] is True
 
 
+_ORDER_ONLY = "verify: --order is read only by 'verify identities'\n"
+_GOLDEN_ALONE = "verify: --golden takes no mode, --n, --L or --order\n"
+IGNORED = [
+    (["--n", "1", "--L", "60", "--order", "20"], _ORDER_ONLY),
+    (["all", "--n", "1", "--order", "20"], _ORDER_ONLY),
+    (["identities", "--n", "1", "--order", "20", "--golden"], _GOLDEN_ALONE),
+    (["all", "--golden"], _GOLDEN_ALONE),
+    (["--golden", "--n", "2"], _GOLDEN_ALONE),
+    (["--golden", "--L", "60"], _GOLDEN_ALONE),
+    (["--golden", "--order", "20"], _GOLDEN_ALONE),
+]
+
+
+@pytest.mark.parametrize("argv, err", IGNORED,
+                         ids=[" ".join(argv) for argv, _ in IGNORED])
+def test_verify_refuses_an_option_its_mode_ignores(capsys, monkeypatch,
+                                                   tmp_path, argv, err):
+    monkeypatch.setattr(metallic, "_tables", {})
+    code, out, got = run(capsys, "verify", *argv, "--cache-dir", str(tmp_path))
+    assert (code, out, got) == (2, "", err)
+    # before any work: no coefficient made, nothing cached
+    assert metallic._tables == {} and os.listdir(tmp_path) == []
+
+
 def test_verify_runs_the_recurrence_once(capsys, monkeypatch, tmp_path):
     runs = []
     extend = metallic._p_extend
@@ -590,12 +614,11 @@ def test_verify_finds_a_series_square_without_its_middle_term(
 
 
 def test_verify_reports_a_package_error_in_a_later_check(capsys, monkeypatch,
-                                                        tmp_path, request):
+                                                        tmp_path):
     # with the reference already in the store, the broken square first
     # raises in poly_P while the identity suite extends F to L + 2n + 2,
     # which the functional equation's line reads too: failed lines, not a
     # crash
-    request.addfinalizer(identities._relation_sides.cache_clear)
     monkeypatch.setattr(metallic, "_tables", {})
     kappa_values(2, 60)
     _drop_middle_square(monkeypatch)

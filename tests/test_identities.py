@@ -45,9 +45,9 @@ def test_check_all_builds_the_sides_once(monkeypatch):
         divisions.append(args)
         return real_div(*args)
 
-    def count_check(n, tag, L):
+    def count_check(n, tag, L, sides):
         tags.append(tag)
-        return real_check(n, tag, L)
+        return real_check(n, tag, L, sides)
 
     def count_family(n, L):
         builds.append((n, L))
@@ -56,7 +56,6 @@ def test_check_all_builds_the_sides_once(monkeypatch):
     monkeypatch.setattr(qnum, "series_div", count_div)
     monkeypatch.setattr(identities, "check_rel", count_check)
     monkeypatch.setattr(identities, "laurent_family", count_family)
-    identities._relation_sides.cache_clear()
     assert all(check_all(2, 70))
     assert divisions == []
     # one family build, from the 2n + 2-term prefix
@@ -75,7 +74,6 @@ def test_check_all_makes_no_division(monkeypatch):
 
     monkeypatch.setattr(series, "series_div", count_div)
     monkeypatch.setattr(qnum, "series_div", count_div)
-    identities._relation_sides.cache_clear()
     assert all(check_all(2, 70))
     assert divisions == []
 
@@ -84,9 +82,9 @@ def test_check_all_rejects_a_low_order_before_any_work(monkeypatch):
     tags = []
     real_check = identities.check_rel
 
-    def count_check(n, tag, L):
+    def count_check(n, tag, L, sides):
         tags.append(tag)
-        return real_check(n, tag, L)
+        return real_check(n, tag, L, sides)
 
     monkeypatch.setattr(identities, "check_rel", count_check)
     for n in (1, 4):
@@ -115,25 +113,28 @@ def test_every_series_tag_rejects_a_low_order_before_any_work(n, monkeypatch):
     assert builds == []
 
 
-def test_memoised_sides_keep_indices_apart():
+def test_relation_sides_builds_F_and_its_residual():
     assert check_rel(1, "rel1", 60).n == 1
     rep = check_rel(2, "rel1", 60)
     assert rep.n == 2 and rep.holds
-    F, E, _ = identities._relation_sides(2, 60)
+    F1, _, _ = identities.relation_sides(1, 60)
+    F, E, maps = identities.relation_sides(2, 60)
+    assert F.order == 60 + 2 * 2 + 2
     assert F.coefficients(0, 20) == phi_series(2, 20).coefficients(0, 20)
-    assert F.coefficients(0, 20) != phi_series(1, 20).coefficients(0, 20)
+    assert F1.coefficients(0, 20) == phi_series(1, 20).coefficients(0, 20)
+    assert F.coefficients(0, 20) != F1.coefficients(0, 20)
     assert E == (F * F).shift(1) - metallic.poly_R(2) * F - 1
     assert E.is_zero and E.order == F.order
+    assert set(maps) == set(IDENTITY_IDS[:8])
 
 
 @pytest.mark.parametrize("n", (1, 3, 8))
-def test_a_passing_relation_multiplies_no_long_series(n, monkeypatch,
-                                                      fresh_sides):
+def test_a_passing_relation_multiplies_no_long_series(n, monkeypatch):
     # with the sides built, E is zero through its order and A R + q B and
     # A + q C vanish, so only short polynomials are ever convolved, and no
     # series is built wider than one
     L = 120
-    check_rel(n, "rel1", L)
+    sides = identities.relation_sides(n, L)
     lengths, widths = [], []
     real, real_init = series._convolve, LaurentSeries.__init__
 
@@ -149,7 +150,7 @@ def test_a_passing_relation_multiplies_no_long_series(n, monkeypatch,
     monkeypatch.setattr(series, "_convolve", record)
     monkeypatch.setattr(LaurentSeries, "__init__", record_init)
     for tag in IDENTITY_IDS[:8]:
-        assert check_rel(n, tag, L).checked_order == L, tag
+        assert check_rel(n, tag, L, sides).checked_order == L, tag
     assert max(lengths) < 4 * n + 8
     assert max(widths) < 4 * n + 8
 
@@ -163,8 +164,7 @@ def _move_entry(monkeypatch, name, row, col, term):
 
 
 @pytest.mark.parametrize("n", (1, 2, 5))
-def test_a_moved_reciprocal_entry_fails_only_its_relations(n, monkeypatch,
-                                                           fresh_sides):
+def test_a_moved_reciprocal_entry_fails_only_its_relations(n, monkeypatch):
     # b + q^7 leaves A, so A E stays zero: only A R + q B sees the fault
     _move_entry(monkeypatch, "RECIPROCAL", 0, 1, (1, 7))
     failed = {r.identity_id: r.first_failure for r in check_all(n, 60)
@@ -172,8 +172,7 @@ def test_a_moved_reciprocal_entry_fails_only_its_relations(n, monkeypatch,
     assert failed == {"rel1": n + 7, "recip": 7}
 
 
-def test_a_moved_negate_entry_fails_only_its_relations(monkeypatch,
-                                                       fresh_sides):
+def test_a_moved_negate_entry_fails_only_its_relations(monkeypatch):
     _move_entry(monkeypatch, "NEGATE", 1, 1, (1, 9))
     failed = {r.identity_id: r.first_failure for r in check_all(2, 60)
               if not r.holds}
@@ -181,7 +180,7 @@ def test_a_moved_negate_entry_fails_only_its_relations(monkeypatch,
 
 
 def test_identities_command_exits_1_on_a_moved_matrix_entry(
-        capsys, monkeypatch, fresh_sides):
+        capsys, monkeypatch):
     from qmetallic.cli import main
 
     _move_entry(monkeypatch, "RECIPROCAL", 0, 1, (1, 7))
@@ -218,19 +217,12 @@ def _division_reports(n, L):
 
 
 def _cross_reports(n, L):
-    identities._relation_sides.cache_clear()
-    return {tag: check_rel(n, tag, L) for tag in SERIES_IDS}
-
-
-@pytest.fixture
-def fresh_sides():
-    identities._relation_sides.cache_clear()
-    yield
-    identities._relation_sides.cache_clear()
+    sides = identities.relation_sides(n, L)
+    return {tag: check_rel(n, tag, L, sides) for tag in SERIES_IDS}
 
 
 @pytest.mark.parametrize("n", range(1, 13))
-def test_cross_multiplication_matches_division(n, fresh_sides):
+def test_cross_multiplication_matches_division(n):
     assert set(SERIES_IDS) == set(_division_reports(n, 60))
     for L in (2 * n + 3, 60, 200):
         assert _cross_reports(n, L) == _division_reports(n, L), L
@@ -238,7 +230,7 @@ def test_cross_multiplication_matches_division(n, fresh_sides):
 
 @pytest.mark.parametrize("n", range(1, 13))
 def test_cross_multiplication_matches_division_on_a_bumped_store(
-        n, monkeypatch, fresh_sides):
+        n, monkeypatch):
     # one coefficient of the kappa store made wrong: where the division
     # path returns reports, they are the same; where a prefix coefficient
     # makes it raise, every relation is reported failing instead
@@ -264,6 +256,27 @@ def test_cross_multiplication_matches_division_on_a_bumped_store(
             else:
                 assert got == want, (j, bump)
     assert raised
+
+
+def test_a_changed_store_shows_in_the_next_check(monkeypatch):
+    # nothing of a finished check_all is kept: checks run after the kappa
+    # store changed read the changed store, as the division path does
+    n, L = 2, 60
+    assert all(check_all(n, L))
+    vals = metallic.kappa_values(n, L + 2 * n + 2)
+    vals[40] += 1
+    monkeypatch.setattr(metallic, "_tables", {n: vals})
+    want = _division_reports(n, L)
+    assert want["neg"].first_failure == 35 and not want["multinv"]
+    assert check_rel(n, "neg", L) == want["neg"]
+    assert mult_inverse_check(n, L) == want["multinv"]
+
+
+def test_a_moved_matrix_entry_shows_in_the_next_check(monkeypatch):
+    assert all(check_all(2, 60))
+    _move_entry(monkeypatch, "RECIPROCAL", 0, 1, (1, 7))
+    assert check_rel(2, "rel1", 60).first_failure == 9
+    assert check_rel(2, "recip", 60).first_failure == 7
 
 
 def test_single_relation_report_shape():

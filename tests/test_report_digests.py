@@ -20,6 +20,9 @@ reports on failing runs as they were.  To regenerate, after an intended
 change of the reports:
 
     PYTHONPATH=src python3 tests/test_report_digests.py
+
+which prints each key whose digest changed, to be named in the change
+log.
 """
 
 import contextlib
@@ -74,7 +77,6 @@ def bumped_store_reports(n):
                 out.append([j, bump, _reports(n)])
     finally:
         metallic._tables = saved
-        identities._relation_sides.cache_clear()
     return out
 
 
@@ -106,7 +108,6 @@ def bumped_store_verify(n):
                 out.append([j, bump] + _verify_stdout(n))
     finally:
         metallic._tables = saved
-        identities._relation_sides.cache_clear()
     return out
 
 
@@ -118,7 +119,6 @@ def mutant_reports(name, row, col, term, n):
         return _reports(n)
     finally:
         setattr(identities, name, real)
-        identities._relation_sides.cache_clear()
 
 
 def cases():
@@ -148,6 +148,10 @@ def test_reports_unchanged(key):
 
 
 if __name__ == "__main__":
+    before = json.loads(DIGESTS.read_text()) if DIGESTS.exists() else {}
     entries = {key: digest(make) for key, make in CASES.items()}
+    for key, new in entries.items():
+        if before.get(key) != new:
+            sys.stdout.write(f"{key}: {before.get(key, 'new')} -> {new}\n")
     DIGESTS.write_text(json.dumps(entries, indent=1) + "\n")
     sys.stdout.write(f"wrote {len(entries)} digests to {DIGESTS}\n")

@@ -9,6 +9,9 @@ the Newton path.  To regenerate, after an intended change of the root
 sets:
 
     PYTHONPATH=src python3 tests/test_root_digests.py
+
+which prints each key whose digest changed, to be named in the change
+log.
 """
 
 import hashlib
@@ -53,6 +56,10 @@ def test_root_set_unchanged(n, bits):
 
 
 if __name__ == "__main__":
+    before = json.loads(DIGESTS.read_text()) if DIGESTS.exists() else {}
     entries = {f"{n}@{bits}": digest(n, bits) for n, bits in CASES}
+    for key, new in entries.items():
+        if before.get(key) != new:
+            sys.stdout.write(f"{key}: {before.get(key, 'new')} -> {new}\n")
     DIGESTS.write_text(json.dumps(entries, indent=1) + "\n")
     sys.stdout.write(f"wrote {len(entries)} digests to {DIGESTS}\n")
