@@ -28,7 +28,6 @@ from __future__ import annotations
 
 import cmath
 import math
-import threading
 
 from .dyadic import (Dyadic, DyadicComplex, cdiv, cmul, cpow, csqrt, nstr,
                      pi_units, units)
@@ -403,10 +402,6 @@ class SingularityReport:
             raise ValueError("one gamma per dominant root required")
 
 
-_reports: dict = {}
-_reports_lock = threading.Lock()
-
-
 def _fixed(z, P: int) -> tuple:
     """The parts of z in units of 2^-P (exact for the values held here)."""
     return units(z.real, P), units(z.imag, P)
@@ -473,7 +468,12 @@ def _gamma_product(pts, k, P):
     return cdiv(hx, hy, 2 * xk, 2 * yk, P)
 
 
-def _build_report(n: int, bits: int) -> SingularityReport:
+def singularity_report(n: int, precision_bits: int = DEFAULT_PRECISION) -> SingularityReport:
+    """The certified roots of Q_n, the dominant ones and their square-root
+    constants, built from poly_Q at each call and kept nowhere: a caller
+    that reads one report many times builds it once and passes it on."""
+    n = _check_n(n)
+    bits = _check_precision(precision_bits)
     coeffs = poly_coeffs(poly_Q(n))
     roots = all_roots(coeffs, bits)
     P = bits + _GUARD_BITS
@@ -510,18 +510,6 @@ def _build_report(n: int, bits: int) -> SingularityReport:
     )
 
 
-def singularity_report(n: int, precision_bits: int = DEFAULT_PRECISION) -> SingularityReport:
-    n = _check_n(n)
-    bits = _check_precision(precision_bits)
-    key = (n, bits)
-    with _reports_lock:
-        rep = _reports.get(key)
-        if rep is None:
-            rep = _build_report(n, bits)
-            _reports[key] = rep
-        return rep
-
-
 def roots_Q(n: int, precision_bits: int = DEFAULT_PRECISION) -> tuple:
     """All 2n certified roots of Q_n."""
     return singularity_report(n, precision_bits).all_roots
@@ -532,12 +520,25 @@ def radius(n: int, precision_bits: int = DEFAULT_PRECISION):
     return singularity_report(n, precision_bits).radius
 
 
-def gamma_coeff(n: int, zeta, precision_bits: int = DEFAULT_PRECISION):
+def _report_for(n: int, precision_bits: int, report):
+    """The caller's report, refused unless it is Q_n's at that precision,
+    or a fresh one."""
+    if report is None:
+        return singularity_report(n, precision_bits)
+    if (report.n, report.precision_bits) != (n, precision_bits):
+        raise ValueError(f"report is for n={report.n} at "
+                         f"{report.precision_bits} bits")
+    return report
+
+
+def gamma_coeff(n: int, zeta, precision_bits: int = DEFAULT_PRECISION,
+                report=None):
     """Square-root constant at a root zeta of Q_n: the report's for a
     dominant root, the principal-branch one for the others, where the
     product rule does not apply.  zeta is any number whose .real and .imag
-    have `as_integer_ratio` (a root from the report, a Python complex)."""
-    rep = singularity_report(n, precision_bits)
+    have `as_integer_ratio` (a root from the report, a Python complex).
+    Read from `report` (see _report_for)."""
+    rep = _report_for(n, precision_bits, report)
     P = rep.precision_bits + _GUARD_BITS
     x, y = _fixed(zeta, P)
     tol = 1 << (P - rep.precision_bits // 2)
@@ -576,11 +577,13 @@ def _alpha(rep: SingularityReport, l: int) -> tuple:
     return -(sr << P) // den, -(si << P) // den, f
 
 
-def leading_term(n: int, l: int, precision_bits: int = DEFAULT_PRECISION):
-    """Leading asymptotic term alpha_l; real up to a certified residual."""
+def leading_term(n: int, l: int, precision_bits: int = DEFAULT_PRECISION,
+                 report=None):
+    """Leading asymptotic term alpha_l; real up to a certified residual.
+    Read from `report` (see _report_for)."""
     if l < 1:
         raise ValueError("need l >= 1")
-    rep = singularity_report(n, precision_bits)
+    rep = _report_for(n, precision_bits, report)
     re, im, e = _alpha(rep, l)
     if abs(im) * 10 ** (rep.precision_bits // 4) > abs(re):
         raise ImaginaryResidual(
@@ -595,18 +598,19 @@ TABLE_LS = tuple(range(100, 2001, 100))
 
 def ratio_values(n: int, l_values, precision_bits: int = DEFAULT_PRECISION):
     """Rows (l, alpha_l / kappa_l), the quotient to precision_bits + 64
-    significant bits."""
+    significant bits, every alpha_l read from one report."""
     ls = [int(l) for l in l_values]
     if any(l < 1 for l in ls):
         raise ValueError("need l >= 1")
     vals = kappa_values(n, max(ls) + 1)
-    P = _check_precision(precision_bits) + _GUARD_BITS
+    rep = singularity_report(n, precision_bits)
+    P = rep.precision_bits + _GUARD_BITS
     out = []
     for l in ls:
         k = vals[l]
         if k == 0:
             raise ZeroDivisionError(f"coefficient at l={l} is zero")
-        a = leading_term(n, l, precision_bits)
+        a = leading_term(rep.n, l, rep.precision_bits, rep)
         s = max(P + k.bit_length() - abs(a.man).bit_length(), 0)
         out.append((l, Dyadic((a.man << s) // k, a.exp - s)))
     return out

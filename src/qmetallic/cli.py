@@ -24,8 +24,8 @@ from . import asymptotics as asym
 from .cache import RunManifest, atomic_write, cache_refresh, cached_table
 from .dyadic import nstr
 from .errors import NotMonomialDenominator, QMetallicError
-from .identities import (check_all, conjugate_onset, conjugate_pair_check,
-                         min_order, relation_sides)
+from .identities import (check_all, conjugate_branches, conjugate_onset,
+                         conjugate_pair_check, min_order, relation_sides)
 from .logbehaviour import classify, sign_flip_lemma_check
 from .metallic import (_zero_check, canonical_engine_tag, coeffs_p_recurrence,
                        hankel, table_engine, verify_ode)
@@ -211,6 +211,8 @@ def cmd_verify(args) -> int:
         return _verify_golden(args)
     if args.order is not None and args.what != "identities":
         raise ValueError("--order is read only by 'verify identities'")
+    if args.order is not None and args.L is not None:
+        raise ValueError("'verify identities' takes --L or --order, not both")
     args.n = 1 if args.n is None else args.n
     args.L = 300 if args.L is None else args.L
     if args.what == "identities":
@@ -370,8 +372,9 @@ def cmd_quantize(args) -> int:
         doc["sign"] = form.sign
         doc["series"] = series_to_json(form.to_series(12))
         try:
-            onset = conjugate_onset(cf, 40)
-            holds = bool(conjugate_pair_check(cf, 40))
+            branches = conjugate_branches(form, 40)
+            onset = conjugate_onset(form, 40, branches)
+            holds = bool(conjugate_pair_check(form, 40, branches))
         except NotMonomialDenominator:
             onset, holds = None, None
         doc["conjugate_pairing"] = {"holds_from": onset, "holds": holds}
@@ -460,7 +463,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n", type=int, help="(default 1)")
     p.add_argument("--L", type=_nonnegative, help="(default 300)")
     p.add_argument("--order", type=_nonnegative,
-                   help="order for 'verify identities' (defaults to --L)")
+                   help="order for 'verify identities', in place of --L")
     p.add_argument("--golden", action="store_true",
                    help="compare against the shipped golden fixtures")
 

@@ -233,7 +233,6 @@ def _arctan_inverse(x: int, P: int) -> int:
     return total
 
 
-@functools.lru_cache(maxsize=None)
 def pi_units(P: int) -> int:
     """pi in units of 2^-P, by Machin's formula pi = 16 arctan(1/5) -
     4 arctan(1/239) with 16 guard bits: off by at most 1 unit."""

@@ -20,8 +20,6 @@ mismatch.
 
 from __future__ import annotations
 
-from functools import lru_cache
-
 from .errors import NotMonomialDenominator, ZeroSeries
 from .metallic import (_check_n, _edge, kappa_values, phi_series, poly_P,
                        poly_R, residual)
@@ -32,11 +30,9 @@ from .qnum import (
     NEG_RECIPROCAL,
     NEGATE,
     RECIPROCAL,
-    PeriodicCF,
     QuadraticForm,
     _matmul,
     q_integer,
-    quantize_quadratic,
     shift_map,
 )
 from .record import record
@@ -253,36 +249,37 @@ def reflection_check(n: int) -> IdentityReport:
                           min(fails) if fails else None)
 
 
-@lru_cache(maxsize=1)
-def _branches(cf: PeriodicCF, L: int) -> tuple:
-    """The two branches of cf's quadratic form to order L (immutable, so
-    conjugate_onset and conjugate_pair_check share one build)."""
-    form = quantize_quadratic(cf)
+def conjugate_branches(form: QuadraticForm, L: int) -> tuple:
+    """The two branches of a quadratic form to order L: its own series and
+    the one with the other sign of the square root."""
     conj = QuadraticForm(form.R, form.P, form.S, -form.sign)
     return form.to_series(L), conj.to_series(L)
 
 
-def conjugate_pair_check(cf: PeriodicCF, L: int) -> IdentityReport:
+def conjugate_pair_check(form: QuadraticForm, L: int,
+                         branches=None) -> IdentityReport:
     """For a quadratic value whose denominator polynomial is a monomial,
     the two square-root branches have opposite coefficients beyond the
-    monomial degree."""
-    S = quantize_quadratic(cf).S
+    monomial degree.  Reads `branches` (conjugate_branches(form, L)), or
+    builds its own."""
+    S = form.S
     terms = sum(1 for c in S.coeffs if c)
     if terms != 1:
         raise NotMonomialDenominator(
             f"denominator {tuple(poly_coeffs(S))} has {terms} terms"
         )
-    x, conj = _branches(cf, L)
+    x, conj = branches or conjugate_branches(form, L)
     lo = min(S.valuation + 1, L)  # past the monomial degree
     tail = LaurentSeries(lo, (x + conj).coefficients(lo, L), L)
     fail = tail.first_mismatch(zero())
     return IdentityReport(0, "conjugate", L, fail is None, fail)
 
 
-def conjugate_onset(cf: PeriodicCF, L: int) -> int | None:
+def conjugate_onset(form: QuadraticForm, L: int, branches=None) -> int | None:
     """Empirical first exponent from which the branch coefficients stay
-    opposite through order L (reported, never asserted as a formula)."""
-    x, conj = _branches(cf, L)
+    opposite through order L (reported, never asserted as a formula).
+    Reads `branches` (conjugate_branches(form, L)), or builds its own."""
+    x, conj = branches or conjugate_branches(form, L)
     lo = min(x.valuation, conj.valuation)
     onset = None
     for j in range(int(L) - 1, int(lo) - 1, -1):

@@ -129,8 +129,8 @@ def sign_flip_lemma_check(L: int) -> CheckResult:
     """
     if L < 10:
         raise ValueError("need L >= 10")
-    a = rna_recurrence(L + 1)  # the table sign_bridge_check(L) reads
-    ratios = [Fraction(a[l], a[l - 1]) for l in range(6, min(100, L) + 1)]
+    a = rna_recurrence(min(100, L) + 1)
+    ratios = [Fraction(a[l], a[l - 1]) for l in range(6, len(a))]
     rising = all(r <= s for r, s in zip(ratios, ratios[1:]))
     if not rising or ratios[0] == ratios[-1]:
         return CheckResult(False, first_failure=6, checked_order=L,

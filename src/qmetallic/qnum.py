@@ -18,7 +18,7 @@ _act applies one to a series.
 from __future__ import annotations
 
 import math
-from functools import lru_cache, reduce
+from functools import reduce
 from fractions import Fraction
 
 from .errors import BranchMismatch, NoStabilization
@@ -307,7 +307,6 @@ class QuadraticForm:
 _PROBE_ORDER = 10  # coefficients that pick the branch in quantize_quadratic
 
 
-@lru_cache(maxsize=1)
 def quantize_quadratic(cf: PeriodicCF) -> QuadraticForm:
     """Quadratic equation over Z[q] satisfied by the deformed value of a
     quadratic irrational, reduced, with the branch matching the deformed
@@ -316,8 +315,6 @@ def quantize_quadratic(cf: PeriodicCF) -> QuadraticForm:
     The periodic tail is a fixed point of its own deformed Mobius map (two
     copies of the period when its length is odd, to restore base parity);
     conjugating by the preperiod map gives the equation of the value itself.
-    The last result is memoised (it is immutable), so a command that asks
-    for the same form again does not rebuild it.
     """
     if cf.is_rational:
         raise ValueError("quantize_quadratic needs a periodic continued fraction")

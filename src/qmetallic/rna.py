@@ -17,7 +17,6 @@ down the first disagreement.  Every count comes from one dynamic programme,
 
 from __future__ import annotations
 
-from functools import lru_cache
 from itertools import combinations
 
 from .errors import BudgetExceeded, NonIntegralResult
@@ -44,9 +43,8 @@ def _check_budget(length: int, what: str = "enumeration") -> None:
         )
 
 
-@lru_cache(maxsize=1)
 def _count_table(length: int, rank: int) -> tuple:
-    """Counts for 0..length positions (immutable, so shared)."""
+    """Counts for 0..length positions."""
     f = [1] * (length + 1)
     for m in range(1, length + 1):
         # last position unpaired, or paired with a, m - a > rank, which
@@ -188,7 +186,7 @@ def motzkin_values(L: int) -> list:
 def sign_bridge_check(L: int) -> CheckResult:
     """The series statement F(q) = 1 + q - q A(-q), A(q) = sum a_l q^l,
     through q^(L-1): kappa_l = (-1)^l a_{l-1} for l >= 2."""
-    a = _count_table(L, 1)  # the table sign_flip_lemma_check(L) reads
+    a = _count_table(L, 1)
     # q A(-q) modulo q^(L+1); the comparison stops at F's order L
     q_a_neg = LaurentSeries(1, [-c if k % 2 else c
                                 for k, c in enumerate(a[:L])], L + 1)

@@ -157,7 +157,7 @@ def test_criterion_04_functional_equation_and_ode():
 # -- 5: convergence radii -----------------------------------------------------------
 
 
-def test_criterion_05_radii():
+def test_criterion_05_radii(shared_report):
     t0 = time.perf_counter()
     with workprec(300):
         tol = mpf(10) ** -70
@@ -169,7 +169,8 @@ def test_criterion_05_radii():
         ok = fabs(r1 - exact1) < tol
         ok = ok and fabs(r2 - exact2) < tol
         ok = ok and nstr(r3, 10) == "0.5971940686"
-        mono = all(r1 - tol <= to_mp(radius(n)) <= 1 + tol for n in range(1, 49))
+        mono = all(r1 - tol <= to_mp(shared_report(n).radius) <= 1 + tol
+                   for n in range(1, 49))
         ok = ok and mono
     dt = time.perf_counter() - t0
     ok = ok and dt < 60.0

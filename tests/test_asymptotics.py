@@ -165,7 +165,30 @@ def test_inclusion_disks_disjoint_and_small(n):
 def test_dominant_gammas_match_gamma_coeff():
     for n in (2, 5):
         rep = singularity_report(n)
-        assert list(rep.gammas) == [gamma_coeff(n, z) for z in rep.dominant]
+        assert list(rep.gammas) == [gamma_coeff(n, z, report=rep)
+                                    for z in rep.dominant]
+    # a lone call builds its own report
+    assert gamma_coeff(5, rep.dominant[0]) == rep.gammas[0]
+
+
+def test_a_report_for_another_n_or_precision_refused():
+    rep = singularity_report(2)
+    with pytest.raises(ValueError, match="report is for n=2 at 256 bits"):
+        leading_term(3, 100, report=rep)
+    with pytest.raises(ValueError, match="report is for n=2 at 256 bits"):
+        gamma_coeff(2, rep.dominant[0], 320, report=rep)
+
+
+def test_report_reads_poly_Q_at_the_call(monkeypatch):
+    # nothing is kept between calls: with poly_Q giving Q_3, the next
+    # report for n = 2 holds Q_3's roots and constants
+    before = singularity_report(2)
+    want = singularity_report(3)
+    real = asymptotics.poly_Q
+    monkeypatch.setattr(asymptotics, "poly_Q", lambda n: real(n + 1))
+    got = singularity_report(2)
+    assert got.all_roots == want.all_roots != before.all_roots
+    assert got.gammas == want.gammas and got.radius == want.radius
 
 
 def test_roots_count_and_radius_consistency():
@@ -263,11 +286,11 @@ def _Q_coeffs(n):
     return list(poly_Q(n).coeffs)
 
 
-def test_float_sweeps_bounded():
+def test_float_sweeps_bounded(shared_report):
     # Aberth starts near the roots, not outside a coefficient bound, and
     # runs on the n roots of the trace polynomial: at most 10 sweeps for
     # every n <= 48, 342 in all
-    sweeps = [singularity_report(n).float_sweeps for n in range(1, 49)]
+    sweeps = [shared_report(n).float_sweeps for n in range(1, 49)]
     assert max(sweeps) <= 12
     assert sum(sweeps) <= 360
 
@@ -485,12 +508,12 @@ def test_trace_disk_meeting_two_rejected():
     assert y1 == y2 == 0 and (x1 - x2) ** 2 > (r1 + r2) ** 2
 
 
-def test_root_sets_closed_under_inversion():
+def test_root_sets_closed_under_inversion(shared_report):
     # Q_n is palindromic, so 1/z is a root with z: checked on the certified
     # roots alone, whatever path all_roots took to them
     with workprec(320):
         for n in range(1, 49):
-            roots = list(map(to_mp, roots_Q(n)))
+            roots = list(map(to_mp, shared_report(n).all_roots))
             near = [complex(z) for z in roots]
             for z in roots:
                 w = 1 / z
@@ -539,17 +562,19 @@ def test_leading_term_has_the_sign_of_the_coefficients(n):
     # a bare majority: its second root pair lies only 1.39e-5 farther out
     # and swings the sign of the coefficients at some l
     kv = kappa_values(n, 3001)
+    rep = singularity_report(n)
     ls = range(2000, 3001, 50)
-    agree = sum((leading_term(n, l) > 0) == (kv[l] > 0) for l in ls)
+    agree = sum((leading_term(n, l, report=rep) > 0) == (kv[l] > 0)
+                for l in ls)
     assert agree > (len(ls) // 2 if n == 19 else len(ls) - 3)
 
 
-def test_gamma_moduli_from_the_derivative():
+def test_gamma_moduli_from_the_derivative(shared_report):
     # |gamma|^2 = |(1 - z + z^2) z Q'(z)| / (4 |z|^2) at every dominant root
     # z, apart from the root product that gives the constants (their sign is
     # test_leading_term_has_the_sign_of_the_coefficients' to check)
     for n in range(1, 49):
-        rep = singularity_report(n)
+        rep = shared_report(n)
         coeffs = list(poly_Q(n).coeffs)
         dq = [k * c for k, c in enumerate(coeffs)][:0:-1]  # highest first
         with workprec(rep.precision_bits + 64):

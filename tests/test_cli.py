@@ -1,7 +1,6 @@
 """End-to-end tests of the command-line interface via main(argv)."""
 
 import concurrent.futures
-import functools
 import io
 import json
 import os
@@ -279,7 +278,7 @@ def test_verify_identities_mode(capsys, tmp_path):
 def test_verify_identities_order_zero_honoured(capsys):
     # an explicit --order 0 is below the minimum, not a request for --L
     code, out, err = run(capsys, "verify", "identities", "--n", "1",
-                         "--order", "0", "--L", "60")
+                         "--order", "0")
     assert code == 2 and out == ""
     assert err == "verify: need --order >= 2n + 3 = 5 for n = 1, got 0\n"
 
@@ -308,18 +307,19 @@ def test_identity_order_floor_is_reachable(capsys):
 
 def test_verify_runs_the_rank1_dp_once(capsys, monkeypatch, tmp_path):
     calls = []
-    table = rna._count_table.__wrapped__
+    table = rna._count_table
 
     def count(length, rank):
         calls.append((length, rank))
         return table(length, rank)
 
-    # sign_bridge_check and sign_flip_lemma_check share one memoised table
-    monkeypatch.setattr(rna, "_count_table", functools.lru_cache(1)(count))
+    # sign_bridge_check reads the L-long table, sign_flip_lemma_check only
+    # the counts through l = 100
+    monkeypatch.setattr(rna, "_count_table", count)
     code, _, _ = run(capsys, "verify", "--n", "1", "--L", "1000",
                      "--cache-dir", str(tmp_path))
     assert code == 0
-    assert calls == [(1000, 1)]
+    assert calls == [(1000, 1), (100, 1)]
 
 
 @pytest.mark.parametrize("n, L, err", [
@@ -342,8 +342,10 @@ def test_verify_order_floor_is_reachable(capsys, tmp_path, n, L):
 
 _ORDER_ONLY = "verify: --order is read only by 'verify identities'\n"
 _GOLDEN_ALONE = "verify: --golden takes no mode, --n, --L or --order\n"
+_L_OR_ORDER = "verify: 'verify identities' takes --L or --order, not both\n"
 IGNORED = [
     (["--n", "1", "--L", "60", "--order", "20"], _ORDER_ONLY),
+    (["identities", "--n", "1", "--L", "60", "--order", "20"], _L_OR_ORDER),
     (["all", "--n", "1", "--order", "20"], _ORDER_ONLY),
     (["identities", "--n", "1", "--order", "20", "--golden"], _GOLDEN_ALONE),
     (["all", "--golden"], _GOLDEN_ALONE),
@@ -779,13 +781,13 @@ def test_rna_grid(capsys):
 
 def test_rna_grid_runs_the_dp_once_per_rank(capsys, monkeypatch):
     calls = []
-    table = rna._count_table.__wrapped__
+    table = rna._count_table
 
     def count(length, rank):
         calls.append((length, rank))
         return table(length, rank)
 
-    monkeypatch.setattr(rna, "_count_table", functools.lru_cache(1)(count))
+    monkeypatch.setattr(rna, "_count_table", count)
     code, out, _ = run(capsys, "rna", "grid", "--max-size", "40",
                        "--max-rank", "3")
     assert code == 0 and len(json.loads(out)) == 40 * 4
@@ -916,8 +918,6 @@ def test_quantize_builds_the_form_once(capsys, monkeypatch):
                         counted("q_real_truncated", qnum.q_real_truncated))
     monkeypatch.setattr(qnum.QuadraticForm, "to_series",
                         counted("to_series", qnum.QuadraticForm.to_series))
-    qnum.quantize_quadratic.cache_clear()
-    identities._branches.cache_clear()
     code, _, _ = run(capsys, "quantize", "--cf", "3;(1,2,5)*")
     assert code == 0
     # one form; its series for the output, then both branches to order 40

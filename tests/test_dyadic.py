@@ -9,7 +9,7 @@ import pytest
 from mpmath import mpc, mpf, workprec
 
 from qmetallic.asymptotics import (TABLE_INDEX, TABLE_LS, ratio_table,
-                                   ratio_values, singularity_report)
+                                   ratio_values)
 from qmetallic.dyadic import (Dyadic, DyadicComplex, cdiv, cmul, cpow, csqrt,
                               nstr, pi_units)
 
@@ -25,10 +25,11 @@ def _same_print(value, dps, strip_zeros=True):
 
 
 @pytest.mark.parametrize("bits", [256, 512])
-def test_nstr_matches_on_every_printed_asymptotics_value(bits):
+def test_nstr_matches_on_every_printed_asymptotics_value(shared_report,
+                                                         bits):
     # what `asymptotics`, `radius` and the root digests print for n = 1..48
     for n in range(1, 49):
-        rep = singularity_report(n, bits)
+        rep = shared_report(n, bits)
         for z in rep.all_roots + rep.dominant + rep.gammas:
             _same_print(z.real, 30)
             _same_print(z.imag, 30)

@@ -10,6 +10,7 @@ from qmetallic.identities import (
     alpha_poly,
     check_all,
     check_rel,
+    conjugate_branches,
     conjugate_onset,
     conjugate_pair_check,
     laurent_family,
@@ -18,7 +19,7 @@ from qmetallic.identities import (
     reflection_check,
 )
 from qmetallic.metallic import _edge, phi_series
-from qmetallic.qnum import parse_cf
+from qmetallic.qnum import parse_cf, quantize_quadratic
 from qmetallic.series import LaurentSeries
 
 
@@ -351,34 +352,36 @@ def test_identity_report_validation():
 
 
 def test_conjugate_pairing_sqrt7():
-    cf = parse_cf("2;(1,1,1,4)*")
-    rep = conjugate_pair_check(cf, 40)
+    form = quantize_quadratic(parse_cf("2;(1,1,1,4)*"))
+    rep = conjugate_pair_check(form, 40)
     assert rep.holds and rep.identity_id == "conjugate"
-    assert conjugate_onset(cf, 40) == 3
+    assert conjugate_onset(form, 40) == 3
 
 
 def test_conjugate_pairing_golden():
-    cf = parse_cf("1;(1)*")
-    assert conjugate_onset(cf, 40) == 2
+    form = quantize_quadratic(parse_cf("1;(1)*"))
+    assert conjugate_onset(form, 40) == 2
 
 
 def test_conjugate_pairing_needs_monomial_denominator():
-    cf = parse_cf("0;2,(1,1,1,4)*")     # deformed 1/sqrt(7)
+    form = quantize_quadratic(parse_cf("0;2,(1,1,1,4)*"))  # 1/sqrt(7)
     with pytest.raises(NotMonomialDenominator):
-        conjugate_pair_check(cf, 30)
+        conjugate_pair_check(form, 30)
     # the onset probe degrades gracefully instead
-    assert conjugate_onset(cf, 30) is None
+    assert conjugate_onset(form, 30) is None
 
 
 @pytest.mark.parametrize("text", ["3;(3)*", "2;(1,1,1)*", "4;(4,4)*",
                                   "1;(1,2)*", "0;(2)*"])
 def test_conjugate_pairing_reports_the_first_unpaired_exponent(text):
-    cf = parse_cf(text)
-    x, conj = identities._branches(cf, 40)
-    deg = qnum.quantize_quadratic(cf).S.valuation
-    want = next((j for j in range(deg + 1, 40) if x[j] != -conj[j]), None)
-    rep = conjugate_pair_check(cf, 40)
-    assert rep.first_failure == want and rep.holds == (want is None)
+    form = quantize_quadratic(parse_cf(text))
+    branches = conjugate_branches(form, 40)
+    x, conj = branches
+    want = next((j for j in range(form.S.valuation + 1, 40)
+                 if x[j] != -conj[j]), None)
+    for rep in (conjugate_pair_check(form, 40),
+                conjugate_pair_check(form, 40, branches)):
+        assert rep.first_failure == want and rep.holds == (want is None)
 
 
 def test_reflection_reports_a_broken_polynomial(monkeypatch):

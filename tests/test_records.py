@@ -216,14 +216,6 @@ def test_post_init_checks_still_fire():
         QuadraticForm(one, one, one, 0)
 
 
-def test_quantize_quadratic_memo_hits_on_an_equal_cf():
-    first = quantize_quadratic(parse_cf("2;(1,3)*"))
-    hits = quantize_quadratic.cache_info().hits
-    again = quantize_quadratic(PeriodicCF([2], [1, 3]))
-    assert again is first
-    assert quantize_quadratic.cache_info().hits == hits + 1
-
-
 # -- RunManifest: the one mutable record ----------------------------------------------
 
 

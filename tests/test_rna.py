@@ -124,9 +124,9 @@ def _plain_count_table(length, rank):
 @pytest.mark.parametrize("rank", range(4))
 def test_count_table_is_the_plain_dp(rank):
     # the table takes the sum over arcs as half a square plus rank terms
-    assert _count_table.__wrapped__(600, rank) == _plain_count_table(600, rank)
+    assert _count_table(600, rank) == _plain_count_table(600, rank)
     for length in range(8):
-        assert (_count_table.__wrapped__(length, rank)
+        assert (_count_table(length, rank)
                 == _plain_count_table(length, rank))
 
 

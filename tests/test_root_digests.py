@@ -36,8 +36,7 @@ def _strings(values):
                   for z in values)
 
 
-def digest(n, bits):
-    rep = singularity_report(n, bits)
+def digest(rep):
     doc = {
         "roots": _strings(rep.all_roots),
         "dominant": _strings(rep.dominant),
@@ -49,15 +48,16 @@ def digest(n, bits):
 
 
 @pytest.mark.parametrize("n, bits", CASES, ids=lambda v: str(v))
-def test_root_set_unchanged(n, bits):
+def test_root_set_unchanged(shared_report, n, bits):
     with open(DIGESTS) as fh:
         recorded = json.load(fh)
-    assert digest(n, bits) == recorded[f"{n}@{bits}"]
+    assert digest(shared_report(n, bits)) == recorded[f"{n}@{bits}"]
 
 
 if __name__ == "__main__":
     before = json.loads(DIGESTS.read_text()) if DIGESTS.exists() else {}
-    entries = {f"{n}@{bits}": digest(n, bits) for n, bits in CASES}
+    entries = {f"{n}@{bits}": digest(singularity_report(n, bits))
+               for n, bits in CASES}
     for key, new in entries.items():
         if before.get(key) != new:
             sys.stdout.write(f"{key}: {before.get(key, 'new')} -> {new}\n")
