@@ -23,7 +23,7 @@ import sys
 from . import asymptotics as asym
 from .cache import RunManifest, atomic_write, cache_refresh, cached_table
 from .dyadic import nstr
-from .errors import NotMonomialDenominator, QMetallicError
+from .errors import QMetallicError
 from .identities import (check_all, conjugate_branches, conjugate_onset,
                          conjugate_pair_check, min_order, relation_sides)
 from .logbehaviour import classify, sign_flip_lemma_check
@@ -371,12 +371,12 @@ def cmd_quantize(args) -> int:
         doc["S"] = poly_coeffs(form.S)
         doc["sign"] = form.sign
         doc["series"] = series_to_json(form.to_series(12))
-        try:
+        # the pairing needs a monomial denominator: no branches without one
+        onset = holds = None
+        if sum(1 for c in form.S.coeffs if c) == 1:
             branches = conjugate_branches(form, 40)
             onset = conjugate_onset(form, 40, branches)
             holds = bool(conjugate_pair_check(form, 40, branches))
-        except NotMonomialDenominator:
-            onset, holds = None, None
         doc["conjugate_pairing"] = {"holds_from": onset, "holds": holds}
     else:
         r, s = rational_value(cf)
@@ -398,6 +398,9 @@ def cmd_hankel(args) -> int:
 
 
 GLOBAL_DEFAULTS = {"precision_bits": 256, "cache_dir": None, "jobs": 1}
+_GLOBAL_FLAGS = ("--precision-bits", "--format", "--cache-dir", "--jobs")
+COMMANDS = ("coeffs", "verify", "tables", "asymptotics", "radius",
+            "identities", "rna", "logconv", "quantize", "hankel")
 
 
 def _int_at_least(low: int):
@@ -417,7 +420,22 @@ def _int_at_least(low: int):
 _nonnegative = _int_at_least(0)  # lengths and orders
 
 
-def build_parser() -> argparse.ArgumentParser:
+def _named_command(argv) -> str | None:
+    """The known command argparse runs for argv (None: sys.argv[1:]) past
+    the global flags and their values; else None, as when help comes first."""
+    tokens = iter(sys.argv[1:] if argv is None else argv)
+    for token in tokens:
+        if not token.startswith("-"):
+            return token if token in COMMANDS else None
+        flag, eq, _ = token.partition("=")
+        if sum(f.startswith(flag) for f in _GLOBAL_FLAGS) != 1 or (
+                not eq and next(tokens, "-").startswith("-")):
+            return None
+    return None
+
+
+def build_parser(name=None) -> argparse.ArgumentParser:
+    """The parser with every subcommand, or the same with only `name`'s."""
     # global flags are accepted before or after the subcommand; SUPPRESS
     # keeps a subparser from clobbering a value parsed at the top level
     common = argparse.ArgumentParser(add_help=False)
@@ -442,87 +460,89 @@ def build_parser() -> argparse.ArgumentParser:
         description="Exact power-series coefficients of q-deformed metallic "
                     "numbers: engines, verification suites, asymptotics, and "
                     "combinatorial cross-checks.")
-    sub = top.add_subparsers(dest="command", required=True)
+    # one command's usage lists all; unset, errors name the action "command"
+    sub = top.add_subparsers(dest="command", required=True,
+                             metavar=name and "{%s}" % ",".join(COMMANDS))
 
-    def add(name, func, forms, **kw):
+    def add(command, func, forms, help):
         # forms: a tuple, default first, or a function of the parsed args
-        p = sub.add_parser(name, parents=[common], **kw)
-        p.set_defaults(func=func, forms=forms)
-        return p
+        if name in (None, command):
+            p = sub.add_parser(command, parents=[common], help=help)
+            p.set_defaults(func=func, forms=forms)
+            return p
 
-    p = add("coeffs", cmd_coeffs, ("json", "csv"),
-            help="emit a coefficient table")
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--L", type=_nonnegative, default=50)
-    p.add_argument("--engine", choices=("conv", "prec", "sqrt", "closed"),
-                   default="prec")
+    if p := add("coeffs", cmd_coeffs, ("json", "csv"),
+                "emit a coefficient table"):
+        p.add_argument("--n", type=int, required=True)
+        p.add_argument("--L", type=_nonnegative, default=50)
+        p.add_argument("--engine", choices=("conv", "prec", "sqrt", "closed"),
+                       default="prec")
 
-    p = add("verify", cmd_verify, ("json",), help="run the verification suite")
-    p.add_argument("what", nargs="?", choices=("all", "identities"),
-                   help="(default all)")
-    p.add_argument("--n", type=int, help="(default 1)")
-    p.add_argument("--L", type=_nonnegative, help="(default 300)")
-    p.add_argument("--order", type=_nonnegative,
-                   help="order for 'verify identities', in place of --L")
-    p.add_argument("--golden", action="store_true",
-                   help="compare against the shipped golden fixtures")
+    if p := add("verify", cmd_verify, ("json",), "run the verification suite"):
+        p.add_argument("what", nargs="?", choices=("all", "identities"),
+                       help="(default all)")
+        p.add_argument("--n", type=int, help="(default 1)")
+        p.add_argument("--L", type=_nonnegative, help="(default 300)")
+        p.add_argument("--order", type=_nonnegative,
+                       help="order for 'verify identities', in place of --L")
+        p.add_argument("--golden", action="store_true",
+                       help="compare against the shipped golden fixtures")
 
-    p = add("tables", cmd_tables, ("csv",),
-            help="regenerate the three ratio tables")
-    p.add_argument("which", nargs="?",
-                   choices=("table1", "table2", "table3", "all"),
-                   default="all")
-    p.add_argument("--out-dir", default=".")
+    if p := add("tables", cmd_tables, ("csv",),
+                "regenerate the three ratio tables"):
+        p.add_argument("which", nargs="?",
+                       choices=("table1", "table2", "table3", "all"),
+                       default="all")
+        p.add_argument("--out-dir", default=".")
 
-    p = add("asymptotics", cmd_asymptotics, ("json",),
-            help="dominant singularity report")
-    p.add_argument("--n", type=int, required=True)
+    if p := add("asymptotics", cmd_asymptotics, ("json",),
+                "dominant singularity report"):
+        p.add_argument("--n", type=int, required=True)
 
-    p = add("radius", cmd_radius, ("json", "csv"),
-            help="convergence radius of the series")
-    p.add_argument("--n", type=int, required=True)
+    if p := add("radius", cmd_radius, ("json", "csv"),
+                "convergence radius of the series"):
+        p.add_argument("--n", type=int, required=True)
 
-    p = add("identities", cmd_identities, ("json",),
-            help="run the identity suite")
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--order", type=_nonnegative, default=300)
+    if p := add("identities", cmd_identities, ("json",),
+                "run the identity suite"):
+        p.add_argument("--n", type=int, required=True)
+        p.add_argument("--order", type=_nonnegative, default=300)
 
-    p = add("rna", cmd_rna, ("json", "csv"), help="secondary-structure counts")
-    act = p.add_subparsers(dest="action", required=True)
-    c = act.add_parser("count", parents=[common], help="one exact count")
-    c.add_argument("--size", type=_nonnegative, required=True)
-    c.add_argument("--rank", type=_nonnegative, default=1)
-    g = act.add_parser("grid", parents=[common], help="(l, rank, count) grid")
-    g.add_argument("--max-size", type=_nonnegative, default=22)
-    g.add_argument("--max-rank", type=_nonnegative, default=3)
+    if p := add("rna", cmd_rna, ("json", "csv"), "secondary-structure counts"):
+        act = p.add_subparsers(dest="action", required=True)
+        c = act.add_parser("count", parents=[common], help="one exact count")
+        c.add_argument("--size", type=_nonnegative, required=True)
+        c.add_argument("--rank", type=_nonnegative, default=1)
+        g = act.add_parser("grid", parents=[common],
+                           help="(l, rank, count) grid")
+        g.add_argument("--max-size", type=_nonnegative, default=22)
+        g.add_argument("--max-rank", type=_nonnegative, default=3)
 
-    p = add("logconv", cmd_logconv,
-            lambda a: ("json",) if a.n_range is None else ("csv",),
-            help="log-convexity classification")
-    mode = p.add_mutually_exclusive_group(required=True)
-    mode.add_argument("--n", type=int, help="one index (JSON)")
-    mode.add_argument("--n-range", metavar="A..B", help="A to B (CSV)")
-    p.add_argument("--lmax", type=_nonnegative, default=2000)
+    if p := add("logconv", cmd_logconv,
+                lambda a: ("json",) if a.n_range is None else ("csv",),
+                help="log-convexity classification"):
+        mode = p.add_mutually_exclusive_group(required=True)
+        mode.add_argument("--n", type=int, help="one index (JSON)")
+        mode.add_argument("--n-range", metavar="A..B", help="A to B (CSV)")
+        p.add_argument("--lmax", type=_nonnegative, default=2000)
 
-    p = add("quantize", cmd_quantize, ("json",),
-            help="quadratic form of a deformed CF")
-    p.add_argument("--cf", required=True,
-                   help="continued fraction 'a0;a1,...,(p1,...)*'")
+    if p := add("quantize", cmd_quantize, ("json",),
+                "quadratic form of a deformed CF"):
+        p.add_argument("--cf", required=True,
+                       help="continued fraction 'a0;a1,...,(p1,...)*'")
 
-    p = add("hankel", cmd_hankel, ("csv",),
-            help="Hankel determinant grid (CSV)")
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--max-s", type=_nonnegative, default=3)
-    p.add_argument("--max-j", type=_nonnegative, default=10)
+    if p := add("hankel", cmd_hankel, ("csv",),
+                "Hankel determinant grid (CSV)"):
+        p.add_argument("--n", type=int, required=True)
+        p.add_argument("--max-s", type=_nonnegative, default=3)
+        p.add_argument("--max-j", type=_nonnegative, default=10)
 
     return top
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
-    for key, value in GLOBAL_DEFAULTS.items():
-        if not hasattr(args, key):
-            setattr(args, key, value)
+    args = build_parser(_named_command(argv)).parse_args(
+        argv, argparse.Namespace(**GLOBAL_DEFAULTS))
     if args.precision_bits < 128:
         return _fail("precision-bits must be >= 128")
     forms = args.forms(args) if callable(args.forms) else args.forms

@@ -1,5 +1,6 @@
 """End-to-end tests of the command-line interface via main(argv)."""
 
+import argparse
 import concurrent.futures
 import io
 import json
@@ -179,6 +180,104 @@ def test_unknown_subcommand_exits_2(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["frobnicate"])
     assert exc.value.code == 2
+
+
+# -- parser -------------------------------------------------------------------------
+
+# main builds the parser of the command argv names, or of every command when
+# it names none plainly; each of these must print what the full parser does
+PARSED = [
+    [], ["--help"], ["-h", "coeffs"], ["coeffs", "--help"],
+    ["rna", "count", "-h"], ["frobnicate"], ["--bogus", "coeffs", "--n", "1"],
+    ["--jobs", "0", "radius", "--n", "2"],
+    ["--prec", "200", "radius", "--n", "2"],
+    ["--cache-dir", "verify", "coeffs", "--n", "2", "--L", "5"],
+    ["--format=csv", "coeffs", "--n", "2", "--L", "5"], ["coeffs", "--n=2"],
+    ["rna", "count", "--size", "3"],
+    ["rna", "grid", "--max-size", "4", "--max-rank", "1"],
+    ["logconv", "--n", "1", "--n-range", "1..2"], ["rna"],
+    ["radius", "--n", "2", "extra"], ["--format", "xml", "radius", "--n", "2"],
+    ["--", "radius", "--n", "2"], ["--precision-bits", "-5", "radius"],
+    ["--f=csv", "--j=1", "--p=128", "radius", "--n", "2"], ["--jobs"],
+]
+
+
+def _outcome(capsys, argv):
+    """(exit code, stdout, stderr) of main(argv), help and errors too."""
+    try:
+        code = main(list(argv))
+    except SystemExit as exc:
+        code = exc.code
+    out = capsys.readouterr()
+    return code, out.out, out.err
+
+
+@pytest.mark.parametrize("argv", PARSED, ids=lambda a: " ".join(a) or "-")
+def test_one_command_parser_prints_what_the_full_one_does(
+        capsys, monkeypatch, tmp_path, argv):
+    monkeypatch.setenv("COLUMNS", "80")
+    monkeypatch.setenv("QMETALLIC_CACHE_DIR", str(tmp_path / "cache"))
+    monkeypatch.chdir(tmp_path)
+    seen = _outcome(capsys, argv)
+    monkeypatch.setattr(cli, "_named_command", lambda argv: None)
+    assert seen == _outcome(capsys, argv)
+
+
+@pytest.mark.parametrize("argv, name", [
+    (["asymptotics", "--n", "2"], "asymptotics"),
+    (["--prec", "200", "--format=csv", "--c", "d", "radius"], "radius"),
+    (["--jobs", "2", "rna", "count"], "rna"),
+    (["-h", "coeffs"], None), (["--he", "coeffs"], None),
+    (["--bogus", "coeffs"], None), (["--", "coeffs"], None),
+    (["--jobs", "-1", "coeffs"], None), (["--jobs"], None),
+    (["frobnicate"], None), ([], None), (["-5"], None),
+])
+def test_named_command_reads_past_the_global_flags(argv, name):
+    assert cli._named_command(argv) == name
+
+
+@pytest.mark.parametrize("argv, err", [
+    ([], "the following arguments are required: command"),
+    (["frobnicate"], "argument command: invalid choice: 'frobnicate' (choose "
+     "from 'coeffs', 'verify', 'tables', 'asymptotics', 'radius', "
+     "'identities', 'rna', 'logconv', 'quantize', 'hankel')"),
+])
+def test_a_missing_or_unknown_command_names_the_action_command(capsys, argv,
+                                                                err):
+    code, out, stderr = _outcome(capsys, argv)
+    assert (code, out) == (2, "")
+    assert stderr.endswith(f"\nqmetallic: error: {err}\n")
+
+
+def _count_parsers(monkeypatch):
+    """A list that grows by one at each ArgumentParser built."""
+    built, real = [], argparse.ArgumentParser.__init__
+
+    def spy(self, *args, **kwargs):
+        built.append(kwargs.get("prog"))
+        real(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", spy)
+    return built
+
+
+@pytest.mark.parametrize("argv, most", [
+    (["asymptotics", "--n", "2"], 3),   # common flags, top, asymptotics
+    (["rna", "count", "--size", "3"], 5),   # and rna's count and grid
+])
+def test_main_builds_only_the_named_command(capsys, monkeypatch, argv, most):
+    built = _count_parsers(monkeypatch)
+    assert main(argv) == 0
+    assert len(built) <= most
+
+
+def test_help_builds_every_command(capsys, monkeypatch):
+    built = _count_parsers(monkeypatch)
+    with pytest.raises(SystemExit) as exc:
+        main(["--help"])
+    assert exc.value.code == 0
+    # common flags, top, ten commands, rna's count and grid
+    assert len(built) == 14
 
 
 # -- output forms -------------------------------------------------------------------
@@ -918,10 +1017,30 @@ def test_quantize_builds_the_form_once(capsys, monkeypatch):
                         counted("q_real_truncated", qnum.q_real_truncated))
     monkeypatch.setattr(qnum.QuadraticForm, "to_series",
                         counted("to_series", qnum.QuadraticForm.to_series))
-    code, _, _ = run(capsys, "quantize", "--cf", "3;(1,2,5)*")
+    code, _, _ = run(capsys, "quantize", "--cf", "2;(1,1,1,4)*")
     assert code == 0
     # one form; its series for the output, then both branches to order 40
+    # (its denominator 2q^3 is a monomial)
     assert counts == {"q_real_truncated": 1, "to_series": 3}
+
+
+def test_quantize_builds_no_branches_without_a_monomial_denominator(
+        capsys, monkeypatch):
+    from qmetallic import qnum
+
+    orders, real = [], qnum.QuadraticForm.to_series
+
+    def spy(self, order):
+        orders.append(order)
+        return real(self, order)
+
+    monkeypatch.setattr(qnum.QuadraticForm, "to_series", spy)
+    code, out, _ = run(capsys, "quantize", "--cf", "0;2,(1,1,1,4)*")
+    assert code == 0
+    assert json.loads(out)["conjugate_pairing"] == {"holds_from": None,
+                                                   "holds": None}
+    # the printed series only: the denominator is not a monomial
+    assert orders == [12]
 
 
 # -- hankel -------------------------------------------------------------------------

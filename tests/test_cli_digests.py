@@ -3,8 +3,10 @@ with a fresh cache directory, and its exit code and the sha256 of its stdout
 must match the recorded ones.
 
 The recorded outputs cover every subcommand except `tables`, whose manifests
-carry timestamps.  When an output change is intended, regenerate the file
-and say so in the change log:
+carry timestamps, and the help text of the top parser, of a subcommand and
+of `rna` and its nested commands, printed at a fixed width of 80 columns.
+When an output change is intended, regenerate the file and say so in the
+change log:
 
     PYTHONPATH=src python3 tests/test_cli_digests.py
 
@@ -16,9 +18,11 @@ import contextlib
 import hashlib
 import io
 import json
+import os
 import sys
 import tempfile
 from pathlib import Path
+from unittest import mock
 
 import pytest
 
@@ -73,15 +77,25 @@ COMMANDS = [
     ["radius", "--n", "19"],
     ["radius", "--n", "48", "--format", "csv"],
     ["asymptotics", "--n", "30"],
+    ["--help"],
+    ["coeffs", "--help"],
+    ["rna", "--help"],
+    ["rna", "count", "--help"],
+    ["-h", "coeffs"],
 ]
 
 
 def replay(argv, cache_dir):
-    """(exit code, sha256 of stdout) of one command."""
+    """(exit code, sha256 of stdout) of one command; help text is wrapped
+    at 80 columns."""
     out = io.StringIO()
     with contextlib.redirect_stdout(out), \
-            contextlib.redirect_stderr(io.StringIO()):
-        code = main(["--cache-dir", str(cache_dir)] + list(argv))
+            contextlib.redirect_stderr(io.StringIO()), \
+            mock.patch.dict(os.environ, COLUMNS="80"):
+        try:
+            code = main(["--cache-dir", str(cache_dir)] + list(argv))
+        except SystemExit as exc:
+            code = exc.code
     return code, hashlib.sha256(out.getvalue().encode()).hexdigest()
 
 
